@@ -167,11 +167,14 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         Excludes budget, alpha, and the (ε, δ) precision targets: worlds
         are pure functions of their index, so any run over the same
         instance and sampling configuration shares the sampled prefix.
+        ``draws`` names the RR draw scheme, so an entry sampled under an
+        older scheme raises instead of mixing its worlds with new ones.
         """
         from repro.exec.checkpoint import run_key
 
         return run_key(
             kind="sketch",
+            draws="counter-v1",
             semantics=self.semantics,
             steps=self.steps,
             seed=self.rng.seed,

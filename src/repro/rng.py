@@ -14,6 +14,11 @@ randomness:
 :class:`RngStream` wraps :class:`random.Random` and adds deterministic
 ``fork`` / ``replica`` derivation so a single experiment seed fans out into
 arbitrarily many independent, individually reproducible streams.
+
+:func:`counter_pick` is the stateless alternative for samplers that draw
+from many vectorized lanes at once: each uniform pick is a pure function
+of ``(key, node, step)``, so a scalar loop and a NumPy array evaluation of
+the same formula draw identical numbers in any order.
 """
 
 from __future__ import annotations
@@ -22,13 +27,26 @@ import hashlib
 import random
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["EventOrder", "RngStream", "derive_seed", "DEFAULT_SEED"]
+__all__ = [
+    "EventOrder",
+    "RngStream",
+    "counter_pick",
+    "derive_seed",
+    "splitmix64",
+    "DEFAULT_SEED",
+]
 
 T = TypeVar("T")
 
 #: Seed used when the caller does not supply one. Fixed (rather than entropy
 #: from the OS) so that "I forgot to pass a seed" still reproduces.
 DEFAULT_SEED = 0x5EED
+
+#: splitmix64 constants (Steele, Lea & Flood, OOPSLA 2014).
+SPLITMIX_GAMMA = 0x9E37_79B9_7F4A_7C15
+SPLITMIX_MUL1 = 0xBF58_476D_1CE4_E5B9
+SPLITMIX_MUL2 = 0x94D0_49BB_1331_11EB
+_MASK64 = (1 << 64) - 1
 
 
 def derive_seed(base_seed: int, *path: object) -> int:
@@ -51,6 +69,27 @@ def derive_seed(base_seed: int, *path: object) -> int:
         digest.update(b"/")
         digest.update(repr(part).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+def splitmix64(value: int) -> int:
+    """The splitmix64 output for counter ``value`` (64-bit, wrapping)."""
+    z = (value + SPLITMIX_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * SPLITMIX_MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_pick(key: int, node: int, step: int, steps: int, degree: int) -> int:
+    """Uniform pick in ``[0, degree)`` for ``node`` at ``step`` under ``key``.
+
+    ``key`` is one :func:`derive_seed` per world and purpose; the counter
+    ``node * steps + step`` is unique per (node, step) for steps
+    ``1..steps``. The top 32 bits of the mixed counter are scaled by
+    multiply-shift, so each pick's bias is at most ``degree / 2**32``.
+    The formula is plain 64-bit integer arithmetic and so evaluates
+    identically on ``uint64`` arrays.
+    """
+    return ((splitmix64(key + node * steps + step) >> 32) * degree) >> 32
 
 
 class RngStream:

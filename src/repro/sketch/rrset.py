@@ -30,9 +30,11 @@ Two samplers, one per diffusion semantics:
   ``d(u → v) <= t_R(v)`` (Theorem 2's coverage criterion). ``RR(v)`` is
   a reverse BFS of depth ``t_R(v)`` — the BBST of ``v``, flattened.
 
-Both samplers derive every random draw from ``rng.replica(index)``, so
-world ``i`` is identical no matter when, in what order, or in which
-process it is sampled — the property that makes
+Every OPOAO draw is a pure function of the world's replica seed
+(``derive_seed(rng.seed, "replica", index)``), the draw's purpose, the
+node and the step (:func:`repro.rng.counter_pick`), so world ``i`` is
+identical no matter when, in what order, in which process, or by which
+kernel backend it is sampled — the property that makes
 :class:`repro.sketch.store.SketchStore` incrementally extendable and
 parallel-safe.
 
@@ -58,7 +60,7 @@ from repro.diffusion.base import DEFAULT_MAX_HOPS
 from repro.diffusion.timestamps import record_cascade
 from repro.errors import SeedError, ValidationError
 from repro.graph.compact import IndexedDiGraph
-from repro.rng import RngStream
+from repro.rng import RngStream, counter_pick, derive_seed
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -177,7 +179,8 @@ class OPOAORRSampler:
         rumor_ids: rumor originators (node ids; non-empty).
         bridge_end_ids: the bridge ends ``B`` (node ids).
         steps: selection-step horizon (paper: 31).
-        rng: base stream; world ``i`` draws only from ``rng.replica(i)``.
+        rng: base stream; world ``i`` draws only from keys derived from
+            ``rng.seed`` and ``i``.
     """
 
     name = "OPOAO-RR"
@@ -199,23 +202,27 @@ class OPOAORRSampler:
         self.steps = int(check_positive(steps, "steps"))
         self.rng = rng or RngStream(name="opoao-rr")
 
-    def _choice_row(self, world: RngStream, node: int) -> Tuple[int, ...]:
+    def _choice_row(self, key: int, node: int) -> Tuple[int, ...]:
         """The node's out-neighbor pick for every step of this world.
 
-        Drawn from a stream forked off the world by node id, so the row
-        is identical regardless of the order reverse traversals touch it.
+        Each pick is :func:`repro.rng.counter_pick` of ``(key, node,
+        step)``, so the row is identical regardless of the order reverse
+        traversals touch it — and equal to the numpy kernel's row.
         """
         neighbors = self.graph.out[node]
-        stream = world.fork("choices", node)
+        steps = self.steps
         count = len(neighbors)
-        return tuple(neighbors[stream.randrange(count)] for _ in range(self.steps))
+        return tuple(
+            neighbors[counter_pick(key, node, step, steps, count)]
+            for step in range(1, steps + 1)
+        )
 
     def _reverse_reachable(
         self,
         end: int,
         deadline: int,
         rows: Dict[int, Tuple[int, ...]],
-        world: RngStream,
+        key: int,
     ) -> Tuple[int, ...]:
         """Nodes whose singleton cascade reaches ``end`` by ``deadline``.
 
@@ -237,7 +244,7 @@ class OPOAORRSampler:
             for tail in graph.inn[node]:
                 row = rows.get(tail)
                 if row is None:
-                    row = self._choice_row(world, tail)
+                    row = self._choice_row(key, tail)
                     rows[tail] = row
                 # Latest step t <= arrive_by at which `tail` picks `node`;
                 # the cascade must have arrived at `tail` strictly before t.
@@ -255,7 +262,7 @@ class OPOAORRSampler:
         """Graph-free description a pool worker rebuilds this sampler from.
 
         Only the base seed matters for reproduction: world ``i`` derives
-        everything from ``rng.replica(i)``, so a rebuilt sampler yields
+        everything from ``rng.seed`` and ``i``, so a rebuilt sampler yields
         bit-identical :class:`WorldSample`\\ s for every index.
         """
         return {
@@ -275,17 +282,28 @@ class OPOAORRSampler:
         (their in-rows drive the reverse Dijkstra), and every bridge end
         (its in-row feeds the deadline lookup).
         """
-        world = self.rng.replica(index)
+        world_seed = derive_seed(self.rng.seed, "replica", index)
+        rumor_key = derive_seed(world_seed, "rumor")
+        steps = self.steps
+
+        def rumor_chooser(node: int, neighbors: Sequence[int], step: int) -> int:
+            return neighbors[
+                counter_pick(rumor_key, node, step, steps, len(neighbors))
+            ]
+
         rumor = record_cascade(
-            self.graph, self.rumor_ids, steps=self.steps, rng=world.fork("rumor")
+            self.graph, self.rumor_ids, steps=steps, chooser=rumor_chooser
         )
+        choices_key = derive_seed(world_seed, "choices")
         rows: Dict[int, Tuple[int, ...]] = {}
         rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
         for end in self.end_ids:
             deadline = rumor.min_in_timestamp(end, self.graph.inn[end])
             if deadline is None:
                 continue  # the rumor never arrives; nothing to save
-            rr_sets.append((end, self._reverse_reachable(end, deadline, rows, world)))
+            rr_sets.append(
+                (end, self._reverse_reachable(end, deadline, rows, choices_key))
+            )
         footprint = set(rumor.arrival)
         footprint.update(rows)
         footprint.update(self.end_ids)

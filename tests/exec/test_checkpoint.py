@@ -198,6 +198,27 @@ class TestRISResume:
         checkpointed = self.make_selector(tmp_path).select(fig2_context, budget=2)
         assert checkpointed == plain
 
+    def test_pre_counter_draw_checkpoint_rejected(self, fig2_context, tmp_path):
+        # A sketch entry fingerprinted before RR draws were counter-keyed
+        # (no draws part) holds worlds from the old scheme; resuming must
+        # raise rather than mix them with freshly drawn worlds.
+        selector = self.make_selector(tmp_path)
+        stale_key = run_key(
+            kind="sketch",
+            semantics="opoao",
+            steps=selector.steps,
+            seed=5,
+            nodes=fig2_context.indexed.node_count,
+            edges=fig2_context.indexed.edge_count,
+            rumors=sorted(fig2_context.rumor_seed_ids()),
+            ends=sorted(fig2_context.bridge_end_ids()),
+        )
+        CheckpointStore(tmp_path / "run.ckpt").save(
+            "sketch", stale_key, {"worlds": 0}, rounds=0
+        )
+        with pytest.raises(CheckpointError):
+            selector.select(fig2_context, budget=2)
+
 
 class TestMonteCarloResume:
     def simulator(self, runs, tmp_path=None, processes=2):

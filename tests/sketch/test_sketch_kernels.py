@@ -6,9 +6,8 @@ replica index, the ``numpy`` backend returns the same
 sorted members) and the same dependency ``footprint`` — as the
 per-world python samplers, for both OPOAO and DOAM semantics. Plus an
 exact small-graph oracle for the batched DOAM depth-bounded reverse
-BFS, the MT19937 word-stream replay units, and registry degradation
-(this module runs in the no-NumPy CI job; vectorized cases skip
-themselves).
+BFS, the counter-keyed pick units, and registry degradation (this module
+runs in the no-NumPy CI job; vectorized cases skip themselves).
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ from hypothesis import strategies as st
 from repro.errors import BackendUnavailableError, KernelError
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
-from repro.rng import RngStream
+from repro.rng import RngStream, counter_pick
 from repro.sketch import kernels
 from repro.sketch.kernels import (
-    _MIN_VECTOR_SEED,
-    _ReplayStream,
+    _RowTable,
     NumpySketchKernel,
     PythonSketchKernel,
     available_sketch_backends,
+    counter_picks,
     register_sketch_backend,
     resolve_sketch_backend,
     sample_worlds,
@@ -90,16 +89,6 @@ class TestOPOAODifferential:
         shuffled = [5, 0, 3, 3, 1]
         vectorized = resolve_sketch_backend("numpy").sample(sampler, shuffled)
         reference = [sampler.sample_world(index) for index in shuffled]
-        assert_worlds_identical(reference, vectorized)
-
-    def test_forced_generic_array_path(self):
-        """With list-CSR disabled the generic ndarray cascade must agree."""
-        kernel = NumpySketchKernel()
-        kernel.list_csr_max_edges = 0
-        graph = build_graph(11)
-        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=9, rng=RngStream(5))
-        vectorized = kernel.sample(sampler, range(4))
-        reference = [sampler.sample_world(index) for index in range(4)]
         assert_worlds_identical(reference, vectorized)
 
     def test_horizon_past_frexp_range_defers_to_python(self):
@@ -176,36 +165,74 @@ class TestDOAMDifferentialAndOracle:
         assert sampler._cached is None
 
 
-class TestReplayStream:
-    def test_small_seed_falls_back_to_stdlib(self):
-        """Seeds below 2^32 replay through random.Random exactly."""
-        seed = 123456789
-        assert seed < _MIN_VECTOR_SEED
-        stream = _ReplayStream(None, None, seed)
-        oracle = random.Random(seed)
-        draws = [3, 1, 7, 2, 10, 100, 1, 5]
-        assert [stream.randrange(n) for n in draws] == [
-            oracle.randrange(n) for n in draws
-        ]
+class TestCounterPicks:
+    DEGREES = (1, 2, 7, 1000, 1 << 31, (1 << 32) - 1)
 
     @needs_numpy
-    def test_multi_word_seed_replays_cpython_stream(self):
-        seed = (987654321 << 40) | 12345  # comfortably past 2^32
-        stream = _ReplayStream(numpy, numpy.random.RandomState(), seed)
-        oracle = random.Random(seed)
-        draws = [5, 2, 9, 1, 33, 1000, 7, 3, 64, 17] * 20
-        assert [stream.randrange(n) for n in draws] == [
-            oracle.randrange(n) for n in draws
-        ]
+    def test_scalar_helper_equals_vector_form(self):
+        chooser = random.Random(2024)
+        keys = [0, (1 << 63) - 1] + [chooser.randrange(1 << 63) for _ in range(30)]
+        for key in keys:
+            steps = chooser.randint(1, 53)
+            nodes = [chooser.randrange(1 << 20) for _ in range(6)]
+            for degree in self.DEGREES:
+                vector = counter_picks(
+                    numpy,
+                    key,
+                    numpy.array(nodes)[:, None],
+                    numpy.arange(1, steps + 1)[None, :],
+                    steps,
+                    degree,
+                )
+                scalar = [
+                    [
+                        counter_pick(key, node, step, steps, degree)
+                        for step in range(1, steps + 1)
+                    ]
+                    for node in nodes
+                ]
+                assert vector.tolist() == scalar
 
     @needs_numpy
-    def test_block_draws_match_sequential(self):
-        seed = 1 << 62
-        block = _ReplayStream(
-            numpy, numpy.random.RandomState(), seed
-        ).randrange_block(7, 40)
-        sequential = _ReplayStream(numpy, numpy.random.RandomState(), seed)
-        assert block.tolist() == [sequential.randrange(7) for _ in range(40)]
+    def test_row_drawn_alone_equals_row_drawn_in_batch(self):
+        graph = build_graph(5, p=0.3)
+        data = NumpySketchKernel()._graph_data(graph)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=9)
+        key = 1 << 62
+        batch = numpy.array(
+            [node for node in range(NODES) if graph.out[node]], dtype=numpy.int64
+        )
+        together = _RowTable(numpy, data, 9, key)
+        together.ensure(batch)
+        for node in batch.tolist():
+            alone = _RowTable(numpy, data, 9, key)
+            alone.ensure(numpy.array([node], dtype=numpy.int64))
+            row = alone.rows_for(numpy.array([node]))[0].tolist()
+            assert row == together.rows_for(numpy.array([node]))[0].tolist()
+            assert tuple(row) == sampler._choice_row(key, node)
+
+    def test_picks_fall_in_range(self):
+        chooser = random.Random(7)
+        for degree in self.DEGREES:
+            for _ in range(300):
+                pick = counter_pick(
+                    chooser.randrange(1 << 63),
+                    chooser.randrange(1 << 20),
+                    chooser.randint(1, 53),
+                    53,
+                    degree,
+                )
+                assert 0 <= pick < degree
+
+    def test_uniform_at_degree_seven(self):
+        """Chi-square over 70k fixed-key picks stays under the 99.9% bound."""
+        counts = [0] * 7
+        for node in range(10_000):
+            for step in range(1, 8):
+                counts[counter_pick(0x5EED, node, step, 7, 7)] += 1
+        expected = 70_000 / 7
+        chi_square = sum((count - expected) ** 2 / expected for count in counts)
+        assert chi_square < 22.46  # 6 degrees of freedom, p = 0.001
 
 
 class TestRegistry:
