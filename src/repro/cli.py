@@ -458,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--invalidation",
         default="footprint",
-        choices=["footprint", "members"],
-        help="world-staleness rule for edge updates (footprint is exact)",
+        choices=["footprint"],
+        help="staleness rule for edge updates (one exact rule; "
+        "kept for existing callers)",
     )
     serve.add_argument(
         "--socket",

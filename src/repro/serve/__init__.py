@@ -12,10 +12,10 @@ persistent :class:`~repro.exec.pool.ParallelExecutor`, and answers
 by *incrementally extending* the RR-set index — doubling only when the
 (ε, δ) stopping rule demands it — rather than resampling from scratch.
 Edge updates (:meth:`RumorBlockingService.apply_updates`) mutate the
-graph in place and invalidate only the worlds whose dependency
-footprint the mutation touched (:meth:`~repro.sketch.store.SketchStore.\
-refresh`), so a warm query after an update resamples a fraction of the
-index.
+graph in place; the next query repairs the index one RR set at a time,
+resampling only the sets whose stored slacks the mutation broke
+(:meth:`~repro.sketch.store.SketchStore.refresh`), so a warm query after
+an update resamples a fraction of the index.
 
 Layers:
 

@@ -22,7 +22,10 @@ can pipeline):
 
 Responses carry ``{"id": ..., "ok": true, ...payload}`` on success and
 ``{"id": ..., "ok": false, "error": "..."}`` on failure; a failed
-request never kills the server. The same handler serves stdio
+request never kills the server. A request line longer than
+:data:`MAX_REQUEST_BYTES` is answered with such an error (``"id"`` is
+null: the line is not parsed), the rest of it is skipped, and the
+connection keeps serving. The same handler serves stdio
 (``repro serve``) and unix-socket transports; every state-touching op
 goes through the service's async wrappers, so concurrent connections
 serialise on the service lock in arrival order.
@@ -33,16 +36,21 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.serve.service import RumorBlockingService
 
 __all__ = [
+    "MAX_REQUEST_BYTES",
     "process_request",
     "handle_connection",
     "serve_stdio",
     "serve_unix_socket",
 ]
+
+#: Longest request line the transports accept, newline excluded. A
+#: 1 MiB line holds an update batch of tens of thousands of edges.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 async def process_request(
@@ -86,6 +94,43 @@ async def process_request(
         }
 
 
+async def _skip_rest_of_line(
+    reader: asyncio.StreamReader, consumed: int
+) -> None:
+    """Drop an oversize line from ``reader``, through its newline (or EOF).
+
+    ``consumed`` is the :class:`asyncio.LimitOverrunError` count: bytes
+    still buffered that belong to the line.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return  # the stream ended inside the line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF), or ``None`` for an oversize one.
+
+    An oversize line is consumed whole, so the next call starts on the
+    line after it.
+    """
+    try:
+        line = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        line = exc.partial  # EOF; a last line may lack its newline
+    except asyncio.LimitOverrunError as exc:
+        await _skip_rest_of_line(reader, exc.consumed)
+        return None
+    if len(line.rstrip(b"\r\n")) > MAX_REQUEST_BYTES:
+        return None  # the reader's own limit was larger than ours
+    return line
+
+
 async def handle_connection(
     service: RumorBlockingService,
     reader: asyncio.StreamReader,
@@ -97,22 +142,29 @@ async def handle_connection(
     stops the whole server, not just this connection).
     """
     while True:
-        line = await reader.readline()
-        if not line:
-            return False
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        line = await _read_request_line(reader)
+        if line is None:
             response: Dict[str, object] = {
                 "id": None,
                 "ok": False,
-                "error": f"invalid JSON: {exc}",
+                "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes; skipped",
             }
         else:
-            response = await process_request(service, request)
+            line = line.strip()
+            if not line:
+                if reader.at_eof():
+                    return False
+                continue
+            try:
+                request = json.loads(line)
+            except json.JSONDecodeError as exc:
+                response = {
+                    "id": None,
+                    "ok": False,
+                    "error": f"invalid JSON: {exc}",
+                }
+            else:
+                response = await process_request(service, request)
         writer.write((json.dumps(response, sort_keys=True) + "\n").encode("utf-8"))
         await writer.drain()
         if response.get("shutdown"):
@@ -122,7 +174,7 @@ async def handle_connection(
 async def serve_stdio(service: RumorBlockingService) -> None:
     """Serve newline-JSON requests on stdin/stdout until EOF or shutdown."""
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=MAX_REQUEST_BYTES)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )
@@ -156,6 +208,8 @@ async def serve_unix_socket(
             except (ConnectionError, OSError):
                 pass
 
-    server = await asyncio.start_unix_server(_handler, path=path)
+    server = await asyncio.start_unix_server(
+        _handler, path=path, limit=MAX_REQUEST_BYTES
+    )
     async with server:
         await done.wait()

@@ -17,8 +17,8 @@ Update handling is **lazy**: ``apply_updates`` only records the touched
 endpoints per instance; the next query on an instance first re-derives
 ``B`` against the current adjacency — if ``B`` changed the instance is
 rebuilt from the same derived RNG (bit-identical to a cold service on
-the mutated graph), otherwise only the footprint-stale worlds are
-resampled. Either way, answers equal what a fresh service computed on
+the mutated graph), otherwise the store repairs only the RR sets the
+update changed. Either way, answers equal what a fresh service computed on
 the current graph with the same seed.
 
 Determinism: the per-instance RNG derives from the service seed and the
@@ -78,9 +78,9 @@ class RumorBlockingService:
             sorted seed ids, so answers are independent of query order.
         initial_worlds: sketch sample size before the first greedy pass.
         max_worlds: hard cap on adaptive doubling.
-        invalidation: world-staleness rule for updates — ``"footprint"``
-            (exact; refreshed state is bit-identical to from-scratch) or
-            ``"members"`` (cheaper, approximate).
+        invalidation: staleness rule for updates; ``"footprint"`` is
+            the only (exact) rule: refreshed state is bit-identical to
+            from-scratch. Kept as a parameter for existing callers.
         workers: worker request for parallel world sampling (``None``/
             ``1`` serial, ``0`` one per CPU), forwarded to every store.
         executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
@@ -183,7 +183,7 @@ class RumorBlockingService:
         Returns the number of RR sets invalidated. When the update
         changed the bridge-end set the whole store is rebuilt (same
         derived RNG, so the result matches a cold service on the current
-        graph); otherwise only footprint-stale worlds resample.
+        graph); otherwise only the RR sets the update changed resample.
         """
         if not instance.pending:
             return 0
@@ -307,7 +307,7 @@ class RumorBlockingService:
         """Apply an edge-update batch; warm state reconciles lazily.
 
         Returns the sorted touched endpoint ids. Every warm instance
-        records them and pays the (footprint-bounded) resampling cost on
+        records them and pays the (changed-sets-only) resampling cost on
         its *next* query — an update burst costs one reconcile, not one
         per batch.
         """

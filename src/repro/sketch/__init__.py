@@ -13,7 +13,7 @@ any protector set by sketch coverage. Three layers:
   worlds on CSR arrays (python / numpy backends, bit-identical).
 * :mod:`repro.sketch.store` — :class:`SketchStore`: flat-array set
   storage, inverted node index, incremental doubling with an (ε, δ)
-  stopping rule, and footprint-based incremental invalidation
+  stopping rule, and slack-checked repair of single RR sets
   (:meth:`SketchStore.refresh`) for dynamic graphs.
 * :mod:`repro.sketch.coverage` — :func:`max_coverage`, the lazy-greedy
   (CELF) selection core shared by the batch selector and the query

@@ -13,12 +13,19 @@ the :mod:`repro.kernels` registry the forward simulators use:
 
 **Bit-identity contract.** For every replica index, backends return the
 same :class:`~repro.sketch.rrset.WorldSample` — same ``rr_sets`` (roots,
-sorted members), same dependency ``footprint`` — as the per-world python
-samplers. :class:`repro.sketch.store.SketchStore` therefore produces the
-same arrays whichever backend samples, serially or across pool workers,
-and :meth:`~repro.sketch.store.SketchStore.refresh` invalidation stays
-exact. The differential suite (``tests/sketch/test_sketch_kernels.py``)
-enforces the contract property-style.
+sorted members), same per-member ``slacks`` — as the per-world python
+samplers, and the same ``(end, deadline)`` lists from :func:`at_risk_ends`.
+:class:`repro.sketch.store.SketchStore` therefore produces the same
+arrays whichever backend samples, serially or across pool workers, and
+:meth:`~repro.sketch.store.SketchStore.refresh` stays exact. The
+differential suite (``tests/sketch/test_sketch_kernels.py``) enforces
+the contract property-style.
+
+**Repair entry points.** A refresh needs two slices of a world rather
+than the whole: :func:`at_risk_ends` runs only the rumor forward pass
+(which ends are at risk, by which deadline), and :func:`sample_ends`
+runs only the reverse searches of chosen ``(world, end)`` pairs. A
+full world is exactly the second applied to the first.
 
 **Counter-keyed draws.** Every OPOAO draw is
 :func:`repro.rng.counter_pick`: node ``u``'s pick at step ``t`` is
@@ -30,30 +37,33 @@ replay and no draw order to match, so the python loop and the uint64
 lanes of :func:`counter_picks` draw identical numbers on every backend.
 Multiply-shift scaling biases each pick by at most ``deg(u) / 2**32``.
 
-How the numpy backend evaluates one world:
+How the numpy backend evaluates a batch of worlds (every op runs over
+``(world, node)`` lanes, each lane drawing under its world's key):
 
 * **Rumor cascade.** One vector pick per step over the whole active set
   (reached nodes with out-neighbors that arrived before the step),
   recording first arrivals and the first event step into every node
   (which is exactly ``min_in_timestamp`` at the bridge ends).
 * **Choice rows** are drawn on first touch, every row a reverse level
-  needs in one vector op, so the drawn-row set (part of the footprint)
-  matches the python sampler's lazy set.
-* **Reverse max-slack search** runs as a bucketed integer Dijkstra over
-  an ``ends x nodes`` slack matrix: levels descend from the deadline,
-  each level relaxes all (end, node) pairs finalised at that slack in
-  one vectorized sweep (pick bitmasks dotted against powers of two;
-  the highest permitted set bit recovered through ``frexp``). The
-  fixpoint — and therefore membership and footprints — equals the
-  per-end heap Dijkstra's.
+  needs in one vector op.
+* **Reverse max-slack search** runs as a level-order integer Dijkstra
+  over a ``(world, end) x nodes`` slack matrix: levels descend from the
+  deadlines, and since relays only lower slack, the pairs sitting at a
+  level are final when it is reached; each level relaxes them in one
+  vectorized sweep (pick bitmasks built bit by bit; the highest
+  permitted set bit recovered through ``frexp``). The fixpoint —
+  membership and every member's slack — equals the per-end heap
+  Dijkstra's, because the slack equations have one solution.
 
 Deterministic DOAM needs no randomness: the backend vectorizes the
-forward BFS and the depth-bounded reverse balls, priming the sampler's
+forward BFS and the depth-bounded reverse balls (a member ``d`` hops
+from its end has slack ``depth - d``), priming the sampler's
 single-world cache so serve/refresh cache semantics are unchanged.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendUnavailableError, KernelError
@@ -61,16 +71,17 @@ from repro.rng import (
     SPLITMIX_GAMMA,
     SPLITMIX_MUL1,
     SPLITMIX_MUL2,
-    derive_seed,
 )
 from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler, WorldSample
 
 __all__ = [
     "SKETCH_BACKEND_AUTO",
+    "at_risk_ends",
     "available_sketch_backends",
     "counter_picks",
     "register_sketch_backend",
     "resolve_sketch_backend",
+    "sample_ends",
     "sample_worlds",
     "PythonSketchKernel",
     "NumpySketchKernel",
@@ -86,21 +97,30 @@ _AUTO_ORDER = ("numpy", "python")
 #: ``frexp`` highest-bit trick; beyond this the kernel defers to python.
 _MAX_FREXP_STEPS = 53
 
-#: Slack-matrix budget (ends-per-block x node_count cells).
-_BLOCK_CELLS = 4_000_000
+#: Slack-matrix budget (rows-per-block x node_count cells). It also
+#: bounds the per-level temporaries, which grow with the block's rows.
+_BLOCK_CELLS = 1 << 15
+
+#: Budget of one batch's pick-bitmask cache (worlds-per-batch x edges).
+_MASK_CELLS = 1 << 20
 
 
-def counter_picks(np_mod, key: int, nodes, step, steps: int, degrees):
+def counter_picks(np_mod, key, nodes, step, steps: int, degrees):
     """:func:`repro.rng.counter_pick` over broadcast uint64 lanes.
 
+    ``key`` is one int, or an integer array of per-lane keys; it,
     ``nodes``, ``step`` and ``degrees`` broadcast against each other
-    (degrees below ``2**32``); returns the int64 picks, each in
+    (degrees below ``2**32``). Returns the int64 picks, each in
     ``[0, degree)``. Unsigned array arithmetic wraps mod ``2**64``
     exactly like the scalar form's masking.
     """
     uint64 = np_mod.uint64
     counters = np_mod.asarray(nodes * steps + step, dtype=np_mod.int64)
-    z = counters.astype(uint64) + uint64((key + SPLITMIX_GAMMA) % (1 << 64))
+    if isinstance(key, int):
+        offset = uint64((key + SPLITMIX_GAMMA) % (1 << 64))
+    else:
+        offset = np_mod.asarray(key).astype(uint64) + uint64(SPLITMIX_GAMMA)
+    z = counters.astype(uint64) + offset
     z = (z ^ (z >> uint64(30))) * uint64(SPLITMIX_MUL1)
     z = (z ^ (z >> uint64(27))) * uint64(SPLITMIX_MUL2)
     z ^= z >> uint64(31)
@@ -116,6 +136,14 @@ class PythonSketchKernel:
     def sample(self, sampler, indices: Sequence[int]) -> List[WorldSample]:
         """Worlds for ``indices`` in order (definitionally bit-identical)."""
         return [sampler.sample_world(int(index)) for index in indices]
+
+    def at_risk(self, sampler, indices: Sequence[int]) -> List[List[Tuple[int, int]]]:
+        """Each world's ``(end, deadline)`` pairs, in ``indices`` order."""
+        return [sampler.at_risk(int(index)) for index in indices]
+
+    def sample_ends(self, sampler, requests) -> List[WorldSample]:
+        """One partial world per ``(index, [(end, deadline), ...])`` request."""
+        return [sampler.sample_ends(int(index), ends) for index, ends in requests]
 
 
 class _GraphData:
@@ -135,26 +163,32 @@ class _GraphData:
 
 
 class _RowTable:
-    """Choice rows drawn on first touch, packed node -> row of picked heads."""
+    """Choice rows drawn on first touch, for a batch of worlds.
 
-    __slots__ = ("_np", "_data", "_key", "_step_range", "table", "position", "count")
+    Slot ``s`` draws under ``keys[s]``; the row of ``node`` in slot ``s``
+    has id ``s * n + node``.
+    """
 
-    def __init__(self, np_mod, data: _GraphData, steps: int, key: int) -> None:
+    __slots__ = ("_np", "_data", "_keys", "_step_range", "table", "position", "count")
+
+    def __init__(self, np_mod, data: _GraphData, steps: int, keys) -> None:
         self._np = np_mod
         self._data = data
-        self._key = key
+        self._keys = np_mod.array(keys, dtype=np_mod.uint64)
         self._step_range = np_mod.arange(1, steps + 1, dtype=np_mod.int64)
-        self.table = np_mod.empty((0, steps), dtype=np_mod.int64)
-        self.position = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
+        self.table = np_mod.empty((0, steps), dtype=np_mod.int32)
+        self.position = np_mod.full(
+            len(keys) * data.node_count, -1, dtype=np_mod.int64
+        )
         self.count = 0
 
-    def ensure(self, nodes) -> None:
-        """Draw, in one vector op, the row of every node in ``nodes`` lacking one.
+    def ensure(self, row_ids) -> None:
+        """Draw, in one vector op, every row in ``row_ids`` not drawn yet.
 
-        ``nodes`` must be distinct.
+        Duplicates in ``row_ids`` are drawn once.
         """
         np_mod = self._np
-        missing = nodes[self.position[nodes] < 0]
+        missing = _distinct(np_mod, row_ids[self.position[row_ids] < 0], self.position)
         if missing.size == 0:
             return
         start = self.count
@@ -164,15 +198,16 @@ class _RowTable:
             while capacity < needed:
                 capacity *= 2
             grown = np_mod.empty(
-                (capacity, self.table.shape[1]), dtype=np_mod.int64
+                (capacity, self.table.shape[1]), dtype=np_mod.int32
             )
             grown[:start] = self.table[:start]
             self.table = grown
         data = self._data
-        column = missing[:, None]
+        slots, nodes = np_mod.divmod(missing, data.node_count)
+        column = nodes[:, None]
         picks = counter_picks(
             np_mod,
-            self._key,
+            self._keys[slots][:, None],
             column,
             self._step_range[None, :],
             len(self._step_range),
@@ -182,11 +217,8 @@ class _RowTable:
         self.position[missing] = np_mod.arange(start, needed)
         self.count = needed
 
-    def rows_for(self, tails):
-        return self.table[self.position[tails]]
-
-    def drawn_nodes(self):
-        return self._np.nonzero(self.position >= 0)[0]
+    def rows_for(self, row_ids):
+        return self.table[self.position[row_ids]]
 
 
 class NumpySketchKernel:
@@ -245,88 +277,102 @@ class NumpySketchKernel:
 
     # -- OPOAO -------------------------------------------------------------------
 
-    def _rumor_cascade(self, sampler, data: _GraphData, key: int):
-        """Vectorized :func:`repro.diffusion.timestamps.record_cascade`.
+    def _opoao_at_risk(
+        self, sampler, data: _GraphData, keys: Sequence[int]
+    ) -> List[List[Tuple[int, int]]]:
+        """Vectorized :meth:`OPOAORRSampler.at_risk` for a batch of rumor keys.
 
-        Only per-node minima matter downstream: the first arrival step
-        (which fixes who draws at each step) and the first event step
-        into a node (the min preserved in-timestamp at that node). Every
-        reached node with out-neighbors that arrived before ``step``
-        picks at ``step``, all in one counter-keyed vector op.
+        Runs :func:`repro.diffusion.timestamps.record_cascade` once per
+        key, all worlds in the same vector ops, keeping only per-node
+        minima: the first arrival step (which fixes who draws at each
+        step) and the first event step into a node (the min preserved
+        in-timestamp there — an end's deadline). Every reached node with
+        out-neighbors that arrived before ``step`` picks at ``step``;
+        entries are ``slot * n + node``, slot ``s`` drawing under
+        ``keys[s]``.
         """
         np_mod = self._np
-        arrival = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        first_event = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        seeds = np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)
+        node_count = data.node_count
+        cells = len(keys) * node_count
+        arrival = np_mod.full(cells, -1, dtype=np_mod.int64)
+        first_event = np_mod.full(cells, -1, dtype=np_mod.int64)
+        key_array = np_mod.array(keys, dtype=np_mod.uint64)
+        seeds = (
+            np_mod.arange(len(keys), dtype=np_mod.int64)[:, None] * node_count
+            + np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)[None, :]
+        ).ravel()
         arrival[seeds] = 0
         indptr, indices, out_deg = data.indptr, data.indices, data.out_deg
-        active = seeds[out_deg[seeds] > 0]
+        active = seeds[out_deg[seeds % node_count] > 0]
         steps = sampler.steps
         for step in range(1, steps + 1):
             if active.size == 0:
                 break  # no node can ever draw again
+            slots, nodes = np_mod.divmod(active, node_count)
             picks = counter_picks(
-                np_mod, key, active, step, steps, out_deg[active]
+                np_mod, key_array[slots], nodes, step, steps, out_deg[nodes]
             )
-            heads = indices[indptr[active] + picks]
+            heads = indices[indptr[nodes] + picks] + slots * node_count
             first_event[heads[first_event[heads] < 0]] = step
-            fresh = np_mod.unique(heads[arrival[heads] < 0])
+            fresh = _distinct(np_mod, heads[arrival[heads] < 0], arrival)
             if fresh.size:
                 arrival[fresh] = step
-                active = np_mod.concatenate((active, fresh[out_deg[fresh] > 0]))
-        return arrival, first_event
+                active = np_mod.concatenate(
+                    (active, fresh[out_deg[fresh % node_count] > 0])
+                )
+        end_ids = sampler.end_ids
+        deadlines = first_event.reshape(len(keys), node_count)[:, end_ids]
+        return [
+            [(end, deadline) for end, deadline in zip(end_ids, row) if deadline >= 0]
+            for row in deadlines.tolist()
+        ]
 
     def _relax_block(
         self,
         data: _GraphData,
         steps: int,
-        block: List[Tuple[int, int]],
+        block: List[Tuple[int, int, int]],
         row_table: _RowTable,
         edge_masks,
         edge_done,
     ):
-        """Bucketed integer Dijkstra over the block's slack matrix.
+        """Level-order integer Dijkstra over the block's slack matrix.
 
-        ``S[e, x]`` is the latest arrival step at ``x`` that still relays
-        to the block's ``e``-th end by its deadline. Levels descend, so
-        each (end, node) pair is expanded exactly once, at its final
-        slack — matching the per-end heap Dijkstra's pop set, and in
-        particular drawing choice rows for exactly the same tails.
+        ``block`` holds ``(slot, end, deadline)`` rows, possibly from
+        several worlds of one batch. ``S[r, x]`` is the latest arrival
+        step at ``x`` that still relays to row ``r``'s end by its
+        deadline. Levels descend, so each (row, node) pair is expanded
+        exactly once, at its final slack — matching the per-end heap
+        Dijkstra's pop set.
 
-        ``edge_masks``/``edge_done`` cache the pick bitmask per
-        reverse-CSR edge position across ends and blocks of one world
+        ``edge_masks``/``edge_done`` cache the pick bitmask per (slot,
+        reverse-CSR edge position) across rows and blocks of the batch
         (the mask depends only on the tail's row and the head), so each
         edge's row comparison runs once per world, not once per end.
         """
         np_mod = self._np
         node_count = data.node_count
-        slack = np_mod.full((len(block), node_count), -1, dtype=np_mod.int64)
+        edge_count = len(data.in_indices)
+        # Slacks never exceed the horizon (<= _MAX_FREXP_STEPS), so int8 holds them.
+        slack = np_mod.full((len(block), node_count), -1, dtype=np_mod.int8)
         flat = slack.ravel()
-        top = max(deadline for _end, deadline in block)
-        buckets: List[List[Any]] = [[] for _ in range(top + 1)]
-        for position, (end, deadline) in enumerate(block):
-            slack[position, end] = deadline
-            buckets[deadline].append(
-                np_mod.array([position * node_count + end], dtype=np_mod.int64)
-            )
-        pow2 = np_mod.left_shift(
-            np_mod.int64(1), np_mod.arange(steps, dtype=np_mod.int64)
+        slot_of_row = np_mod.array(
+            [slot for slot, _end, _deadline in block], dtype=np_mod.int64
         )
+        for position, (_slot, end, deadline) in enumerate(block):
+            slack[position, end] = deadline
+        top = max(deadline for _slot, _end, deadline in block)
         in_indptr, in_indices, in_deg = (
             data.in_indptr,
             data.in_indices,
             data.in_deg,
         )
         for level in range(top, 0, -1):
-            entries = buckets[level]
-            if not entries:
-                continue
-            keys = entries[0] if len(entries) == 1 else np_mod.concatenate(entries)
-            keys = keys[flat[keys] == level]  # drop stale (improved) pairs
+            # Relays only lower slack, so every pair at this level is final.
+            keys = np_mod.flatnonzero(flat == level)
             if keys.size == 0:
                 continue
-            keys = np_mod.unique(keys)
-            nodes = keys % node_count
+            key_rows, nodes = np_mod.divmod(keys, node_count)
             counts = in_deg[nodes]
             total = int(counts.sum())
             if total == 0:
@@ -335,56 +381,58 @@ class NumpySketchKernel:
                 np_mod, in_indptr[nodes], counts, total
             )
             tails = in_indices[positions]
-            fresh = positions[~edge_done[positions]]
+            edge_rows = np_mod.repeat(key_rows, counts)
+            cached = slot_of_row[edge_rows] * edge_count + positions
+            fresh = cached[~edge_done[cached]]
             if fresh.size:
-                fresh = np_mod.unique(fresh)
-                fresh_tails = in_indices[fresh]
-                row_table.ensure(np_mod.unique(fresh_tails))
-                rows = row_table.rows_for(fresh_tails)
+                fresh_slots, fresh_positions = np_mod.divmod(fresh, edge_count)
+                row_ids = fresh_slots * node_count + in_indices[fresh_positions]
+                row_table.ensure(row_ids)
+                picked = (
+                    row_table.rows_for(row_ids)
+                    == data.in_heads[fresh_positions][:, None]
+                )
                 # Bit t-1 set <=> the tail picks this head at step t.
-                edge_masks[fresh] = (
-                    (rows == data.in_heads[fresh][:, None]) * pow2
-                ).sum(axis=1)
+                masks = np_mod.zeros(fresh.size, dtype=edge_masks.dtype)
+                for bit in range(steps):
+                    masks[picked[:, bit]] |= 1 << bit
+                edge_masks[fresh] = masks
                 edge_done[fresh] = True
-            end_base = np_mod.repeat(keys - nodes, counts)  # end row * n
             # The highest set bit at or below min(level, steps) is the
             # latest usable pick; its index is the candidate slack.
-            allowed = edge_masks[positions] & ((1 << min(level, steps)) - 1)
+            allowed = edge_masks[cached] & ((1 << min(level, steps)) - 1)
             _mant, exponents = np_mod.frexp(allowed.astype(np_mod.float64))
-            candidates = exponents.astype(np_mod.int64) - 1
-            targets = end_base + tails
+            candidates = exponents.astype(np_mod.int8) - 1
+            targets = edge_rows * node_count + tails
             improved = candidates > flat[targets]
-            if not improved.any():
-                continue
-            targets = targets[improved]
-            np_mod.maximum.at(flat, targets, candidates[improved])
-            final = flat[targets]
-            for value in np_mod.unique(final).tolist():
-                buckets[value].append(targets[final == value])
+            np_mod.maximum.at(flat, targets[improved], candidates[improved])
         return slack
 
-    def _opoao_world(self, sampler, data: _GraphData, index: int) -> WorldSample:
+    def _opoao_sets(
+        self, sampler, data: _GraphData, requests
+    ) -> List[WorldSample]:
+        """One batch of ``(index, ends)`` requests, all worlds relaxed together."""
         np_mod = self._np
-        world_seed = derive_seed(sampler.rng.seed, "replica", index)
-        arrival, first_event = self._rumor_cascade(
-            sampler, data, derive_seed(world_seed, "rumor")
-        )
-        at_risk = [
-            (end, int(first_event[end]))
-            for end in sampler.end_ids
-            if first_event[end] >= 0
-        ]
+        node_count = data.node_count
         row_table = _RowTable(
-            np_mod, data, sampler.steps, derive_seed(world_seed, "choices")
+            np_mod,
+            data,
+            sampler.steps,
+            [sampler.world_keys(index)[1] for index, _ends in requests],
         )
-        rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        if at_risk:
-            edge_count = len(data.in_indices)
-            edge_masks = np_mod.zeros(edge_count, dtype=np_mod.int64)
-            edge_done = np_mod.zeros(edge_count, dtype=bool)
-            block_size = max(1, _BLOCK_CELLS // max(data.node_count, 1))
-            for start in range(0, len(at_risk), block_size):
-                block = at_risk[start : start + block_size]
+        pairs = [
+            (slot, end, deadline)
+            for slot, (_index, ends) in enumerate(requests)
+            for end, deadline in ends
+        ]
+        pieces: List[List[Tuple[int, Any, Any]]] = [[] for _ in requests]
+        if pairs:
+            cells = len(requests) * len(data.in_indices)
+            edge_masks = np_mod.zeros(cells, dtype=_mask_dtype(np_mod, sampler.steps))
+            edge_done = np_mod.zeros(cells, dtype=bool)
+            block_size = max(1, _BLOCK_CELLS // max(node_count, 1))
+            for start in range(0, len(pairs), block_size):
+                block = pairs[start : start + block_size]
                 slack = self._relax_block(
                     data,
                     sampler.steps,
@@ -393,20 +441,24 @@ class NumpySketchKernel:
                     edge_masks,
                     edge_done,
                 )
-                for position, (end, _deadline) in enumerate(block):
-                    members = np_mod.nonzero(slack[position] >= 0)[0]
-                    rr_sets.append((end, tuple(members.tolist())))
-        footprint = set(np_mod.nonzero(arrival >= 0)[0].tolist())
-        footprint.update(row_table.drawn_nodes().tolist())
-        footprint.update(sampler.end_ids)
-        for _end, members in rr_sets:
-            footprint.update(members)
-        return WorldSample(index, rr_sets, footprint=sorted(footprint))
+                rows, members = np_mod.nonzero(slack >= 0)
+                values = slack[rows, members].astype(np_mod.int32)
+                members = members.astype(np_mod.int32)
+                bounds = np_mod.searchsorted(
+                    rows, np_mod.arange(len(block) + 1)
+                ).tolist()
+                for position, (slot, end, _deadline) in enumerate(block):
+                    lo, hi = bounds[position], bounds[position + 1]
+                    pieces[slot].append((end, members[lo:hi], values[lo:hi]))
+        return [
+            _packed_world(np_mod, index, pieces[slot])
+            for slot, (index, _ends) in enumerate(requests)
+        ]
 
     # -- DOAM --------------------------------------------------------------------
 
-    def _doam_cached(self, sampler) -> Tuple[List, Tuple[int, ...]]:
-        """The single DOAM world's ``(rr_sets, footprint)`` payload."""
+    def _doam_at_risk(self, sampler) -> List[Tuple[int, int]]:
+        """Vectorized :meth:`DOAMRRSampler.at_risk`: a frontier BFS."""
         np_mod = self._np
         data = self._graph_data(sampler.graph)
         distance = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
@@ -426,25 +478,32 @@ class NumpySketchKernel:
                 break
             distance[heads] = hop + 1
             frontier = heads
-        stamp = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        for mark, end in enumerate(sampler.end_ids):
-            if distance[end] < 0:
-                continue  # the rumor never arrives; nothing to save
-            members = self._reverse_ball(
-                data, stamp, mark, end, int(distance[end])
+        return [
+            (end, int(distance[end]))
+            for end in sampler.end_ids
+            if distance[end] >= 0
+        ]
+
+    def _doam_sets(
+        self, sampler, index: int, ends: Sequence[Tuple[int, int]]
+    ) -> WorldSample:
+        """The reverse balls (with slacks) of ``ends``."""
+        data = self._graph_data(sampler.graph)
+        stamp = self._np.full(data.node_count, -1, dtype=self._np.int64)
+        rr_sets: List[Tuple[int, List[int]]] = []
+        slacks: List[List[int]] = []
+        for mark, (end, depth) in enumerate(ends):
+            members, member_slacks = self._reverse_ball(
+                data, stamp, mark, end, depth
             )
-            rr_sets.append((end, tuple(members)))
-        footprint = set(np_mod.nonzero(distance >= 0)[0].tolist())
-        footprint.update(sampler.end_ids)
-        for _end, members in rr_sets:
-            footprint.update(members)
-        return rr_sets, tuple(sorted(footprint))
+            rr_sets.append((end, members))
+            slacks.append(member_slacks)
+        return WorldSample(index, rr_sets, slacks=slacks)
 
     def _reverse_ball(
         self, data: _GraphData, stamp, mark: int, end: int, depth: int
-    ) -> List[int]:
-        """Sorted node ids within ``depth`` reverse hops of ``end``."""
+    ) -> Tuple[List[int], List[int]]:
+        """Sorted node ids within ``depth`` reverse hops of ``end``, with slacks."""
         np_mod = self._np
         stamp[end] = mark
         layers = [np_mod.array([end], dtype=np_mod.int64)]
@@ -465,10 +524,26 @@ class NumpySketchKernel:
             layers.append(tails)
             frontier = tails
         members = np_mod.concatenate(layers)
-        members.sort()
-        return members.tolist()
+        hops = np_mod.repeat(
+            np_mod.arange(len(layers), dtype=np_mod.int64),
+            [len(layer) for layer in layers],
+        )
+        order = np_mod.argsort(members)
+        return members[order].tolist(), (depth - hops[order]).tolist()
 
     # -- dispatch ----------------------------------------------------------------
+
+    def _vectorizes(self, sampler) -> bool:
+        """OPOAO horizons past the float64-exact bitmask range defer to python."""
+        return (
+            isinstance(sampler, OPOAORRSampler)
+            and sampler.steps <= _MAX_FREXP_STEPS
+        )
+
+    def _batches(self, data: _GraphData, items: List) -> List[List]:
+        """``items`` cut into runs whose pick-mask caches fit :data:`_MASK_CELLS`."""
+        size = max(1, _MASK_CELLS // max(len(data.in_indices), 1))
+        return [items[start : start + size] for start in range(0, len(items), size)]
 
     def sample(self, sampler, indices: Sequence[int]) -> List[WorldSample]:
         """Worlds for ``indices`` in order, bit-identical to python.
@@ -479,17 +554,82 @@ class NumpySketchKernel:
         index_list = [int(index) for index in indices]
         if isinstance(sampler, DOAMRRSampler):
             if sampler._cached is None:
-                sampler._cached = self._doam_cached(sampler)
+                world = self._doam_sets(sampler, 0, self._doam_at_risk(sampler))
+                sampler._cached = (world.rr_sets, world.slacks)
             return [sampler.sample_world(index) for index in index_list]
-        if (
-            isinstance(sampler, OPOAORRSampler)
-            and sampler.steps <= _MAX_FREXP_STEPS
-        ):
-            data = self._graph_data(sampler.graph)
-            return [
-                self._opoao_world(sampler, data, index) for index in index_list
-            ]
-        return [sampler.sample_world(index) for index in index_list]
+        if not self._vectorizes(sampler):
+            return [sampler.sample_world(index) for index in index_list]
+        return self.sample_ends(
+            sampler, list(zip(index_list, self.at_risk(sampler, index_list)))
+        )
+
+    def at_risk(self, sampler, indices: Sequence[int]) -> List[List[Tuple[int, int]]]:
+        """Each world's ``(end, deadline)`` pairs, bit-identical to python."""
+        index_list = [int(index) for index in indices]
+        if isinstance(sampler, DOAMRRSampler):
+            ends = self._doam_at_risk(sampler)
+            return [list(ends) for _ in index_list]
+        if not self._vectorizes(sampler):
+            return [sampler.at_risk(index) for index in index_list]
+        data = self._graph_data(sampler.graph)
+        found: List[List[Tuple[int, int]]] = []
+        for batch in self._batches(data, index_list):
+            found.extend(
+                self._opoao_at_risk(
+                    sampler,
+                    data,
+                    [sampler.world_keys(index)[0] for index in batch],
+                )
+            )
+        return found
+
+    def sample_ends(self, sampler, requests) -> List[WorldSample]:
+        """One partial world per ``(index, ends)`` request, bit-identical to python."""
+        requests = [(int(index), list(ends)) for index, ends in requests]
+        if isinstance(sampler, DOAMRRSampler):
+            return [self._doam_sets(sampler, index, ends) for index, ends in requests]
+        if not self._vectorizes(sampler):
+            return [sampler.sample_ends(index, ends) for index, ends in requests]
+        data = self._graph_data(sampler.graph)
+        worlds: List[WorldSample] = []
+        for batch in self._batches(data, requests):
+            worlds.extend(self._opoao_sets(sampler, data, batch))
+        return worlds
+
+
+def _packed_world(np_mod, index: int, sets) -> WorldSample:
+    """A :class:`WorldSample` of ``(root, members, slacks)`` int32 numpy sets."""
+    members = array("i")
+    slacks = array("i")
+    offsets = array("q", [0])
+    if sets:
+        members.frombytes(np_mod.concatenate([m for _, m, _ in sets]).tobytes())
+        slacks.frombytes(np_mod.concatenate([v for _, _, v in sets]).tobytes())
+        offsets.extend(np_mod.cumsum([len(m) for _, m, _ in sets]).tolist())
+    return WorldSample.from_packed(
+        index, array("i", [root for root, _, _ in sets]), offsets, members, slacks
+    )
+
+
+def _distinct(np_mod, ids, scratch):
+    """``ids`` without repeats, in first-seen order, in linear time.
+
+    ``scratch`` is an int64 array indexable by every id whose entries
+    at ``ids`` may be overwritten (the caller sets them next anyway).
+    """
+    if ids.size < 2:
+        return ids
+    order = np_mod.arange(ids.size, dtype=np_mod.int64)
+    scratch[ids[::-1]] = order[::-1]  # the first occurrence writes last
+    return ids[scratch[ids] == order]
+
+
+def _mask_dtype(np_mod, steps: int):
+    """The narrowest signed integer dtype holding a ``steps``-bit pick mask."""
+    for dtype in (np_mod.int8, np_mod.int16, np_mod.int32):
+        if steps < np_mod.iinfo(dtype).bits:
+            return dtype
+    return np_mod.int64
 
 
 # -- registry --------------------------------------------------------------------
@@ -559,3 +699,23 @@ def sample_worlds(
 ) -> List[WorldSample]:
     """Sample ``indices`` through the named (or auto) sketch backend."""
     return resolve_sketch_backend(backend).sample(sampler, list(indices))
+
+
+def at_risk_ends(
+    sampler, indices: Sequence[int], backend: Optional[str] = None
+) -> List[List[Tuple[int, int]]]:
+    """Each world's at-risk ``(end, deadline)`` pairs (rumor pass only)."""
+    return resolve_sketch_backend(backend).at_risk(sampler, list(indices))
+
+
+def sample_ends(
+    sampler,
+    requests: Sequence[Tuple[int, Sequence[Tuple[int, int]]]],
+    backend: Optional[str] = None,
+) -> List[WorldSample]:
+    """The RR sets of chosen ``(index, [(end, deadline), ...])`` requests.
+
+    Each result holds exactly the requested ends' sets of that world,
+    equal to those sets in a full :func:`sample_worlds` sample.
+    """
+    return resolve_sketch_backend(backend).sample_ends(sampler, list(requests))

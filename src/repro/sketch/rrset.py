@@ -38,15 +38,26 @@ kernel backend it is sampled — the property that makes
 :class:`repro.sketch.store.SketchStore` incrementally extendable and
 parallel-safe.
 
-Each sampled world also carries a **dependency footprint**: the set of
-node ids whose adjacency rows the sampling actually read (rumor-reached
-nodes, lazily drawn choice rows, every RR-set member, and all bridge
-ends). When the graph mutates in place
-(:meth:`repro.graph.compact.IndexedDiGraph.apply_updates`), a world
-whose footprint avoids every touched endpoint would replay to the exact
-same draws and sets on the mutated graph — so the store only resamples
-worlds whose footprint intersects the touched set (see
-:meth:`repro.sketch.store.SketchStore.refresh`).
+**Slacks.** Each RR set keeps, beside its member ids, every member's
+*max slack* ``S(x)``: the latest arrival step at ``x`` from which a
+cascade is still relayed to the root in time. The root's slack is its
+deadline; every other node satisfies a *slack equation* over its
+relays (:meth:`OPOAORRSampler.relays`):
+
+* OPOAO — ``S(x) = max{t - 1 : 1 <= t <= steps, S(row_x[t]) >= t}``,
+  where ``row_x[t]`` is ``x``'s counter-keyed pick at step ``t``;
+* DOAM — ``S(x) = max{S(y) : y in out(x)} - 1``;
+
+with ``S(x) = -1`` (not a member) when no relay qualifies. Every relay
+strictly lowers slack, so any solution's non-negative values are
+witnessed by relay chains that climb strictly to the root: the
+equations have exactly one solution, the one the reverse searches
+compute. An edge update changes only its tail's relays, hence only its
+tail's equation — so when a world's deadlines are unchanged and the
+stored slacks still satisfy every touched node's equation on the
+mutated graph, the stored set *is* the set a resample would produce.
+:meth:`repro.sketch.store.SketchStore.refresh` repairs the sketch on
+exactly that test.
 """
 
 from __future__ import annotations
@@ -79,30 +90,34 @@ SKETCH_SEMANTICS = ("opoao", "doam")
 class WorldSample:
     """One sampled world: an RR set per bridge end the rumor reaches.
 
-    Sets and footprint are stored CSR-packed in int32/int64 machine
-    arrays rather than per-set Python tuples, so a world costs a few
-    flat buffers however many sets it holds — and pickles (pool workers
-    ship worlds back to the parent; checkpoints embed them) shrink
-    accordingly. The ``rr_sets`` / ``footprint`` views below present
-    the packed data in the historical tuple shapes.
+    Sets are stored CSR-packed in int32/int64 machine arrays rather than
+    per-set Python tuples, so a world costs a few flat buffers however
+    many sets it holds — and pickles (pool workers ship worlds back to
+    the parent) shrink accordingly. The ``rr_sets`` / ``slacks`` views
+    below present the packed data in tuple shapes.
+
+    A sample may hold only some of its world's at-risk ends: a repair
+    (:meth:`OPOAORRSampler.sample_ends`) resamples just the ends whose
+    sets changed.
 
     Attributes:
         index: the replica index the world was derived from.
         rr_sets: ``(root, members)`` pairs — ``root`` is the at-risk
             bridge end, ``members`` the sorted node ids whose singleton
             protector cascade saves it in this world.
-        footprint: sorted node ids whose adjacency rows sampling read
-            (``None`` when the producing sampler predates footprints —
-            the store then treats the world as always-stale on updates).
+        slacks: per set, the max slack of every member, aligned with
+            ``members`` (``None`` when the producing sampler does not
+            report slacks — the store then resamples the whole world on
+            any update).
     """
 
-    __slots__ = ("index", "_roots", "_offsets", "_members", "_footprint", "_view")
+    __slots__ = ("index", "_roots", "_offsets", "_members", "_slacks", "_view")
 
     def __init__(
         self,
         index: int,
-        rr_sets: Sequence[Tuple[int, Tuple[int, ...]]],
-        footprint: Optional[Sequence[int]] = None,
+        rr_sets: Sequence[Tuple[int, Sequence[int]]],
+        slacks: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
         self.index = index
         roots = array("i")
@@ -115,10 +130,34 @@ class WorldSample:
         self._roots = roots
         self._offsets = offsets
         self._members = members
-        self._footprint = (
-            None if footprint is None else array("i", sorted(footprint))
-        )
+        self._slacks: Optional[array] = None
+        if slacks is not None:
+            packed_slacks = array("i")
+            for set_slacks in slacks:
+                packed_slacks.extend(set_slacks)
+            if len(slacks) != len(roots) or len(packed_slacks) != len(members):
+                raise ValidationError("slacks must align with the RR-set members")
+            self._slacks = packed_slacks
         self._view: Optional[List[Tuple[int, Tuple[int, ...]]]] = None
+
+    @classmethod
+    def from_packed(
+        cls,
+        index: int,
+        roots: array,
+        offsets: array,
+        members: array,
+        slacks: Optional[array],
+    ) -> "WorldSample":
+        """A sample over already-packed arrays (taken over, not copied)."""
+        world = cls.__new__(cls)
+        world.index = index
+        world._roots = roots
+        world._offsets = offsets
+        world._members = members
+        world._slacks = slacks
+        world._view = None
+        return world
 
     @property
     def rr_sets(self) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -133,28 +172,25 @@ class WorldSample:
         return self._view
 
     @property
-    def footprint(self) -> Optional[Tuple[int, ...]]:
-        """Sorted dependency footprint (``None`` when unknown)."""
-        return None if self._footprint is None else tuple(self._footprint)
+    def slacks(self) -> Optional[List[Tuple[int, ...]]]:
+        """Per-set member slacks aligned with :attr:`rr_sets` (or ``None``)."""
+        if self._slacks is None:
+            return None
+        offsets = self._offsets
+        return [
+            tuple(self._slacks[offsets[i] : offsets[i + 1]])
+            for i in range(len(self._roots))
+        ]
 
-    def packed(self) -> Tuple[array, array, array]:
-        """The raw ``(roots, offsets, members)`` arrays (read-only use)."""
-        return self._roots, self._offsets, self._members
+    def packed(self) -> Tuple[array, array, array, Optional[array]]:
+        """The raw ``(roots, offsets, members, slacks)`` arrays (read-only use)."""
+        return self._roots, self._offsets, self._members, self._slacks
 
     def __getstate__(self):
-        return (self.index, self._roots, self._offsets, self._members, self._footprint)
+        return (self.index, self._roots, self._offsets, self._members, self._slacks)
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple) and len(state) == 2:
-            # Pre-packing pickle: ({}, {slot: value}) from older runs.
-            payload = state[1] or {}
-            self.__init__(
-                payload["index"],
-                payload.get("rr_sets", []),
-                footprint=payload.get("footprint"),
-            )
-            return
-        self.index, self._roots, self._offsets, self._members, self._footprint = state
+        self.index, self._roots, self._offsets, self._members, self._slacks = state
         self._view = None
 
     def __repr__(self) -> str:
@@ -185,6 +221,8 @@ class OPOAORRSampler:
 
     name = "OPOAO-RR"
     stochastic = True
+    #: relay ``t - 1`` of :meth:`relays` is the pick at step ``t``.
+    timed_relays = True
 
     def __init__(
         self,
@@ -201,21 +239,38 @@ class OPOAORRSampler:
         self.end_ids = _check_ids(graph, bridge_end_ids, "bridge end")
         self.steps = int(check_positive(steps, "steps"))
         self.rng = rng or RngStream(name="opoao-rr")
+        self._keys: Dict[int, Tuple[int, int]] = {}
+
+    def world_keys(self, index: int) -> Tuple[int, int]:
+        """``(rumor_key, choices_key)``: world ``index``'s two draw keys (memoized)."""
+        keys = self._keys.get(index)
+        if keys is None:
+            world_seed = derive_seed(self.rng.seed, "replica", index)
+            keys = (derive_seed(world_seed, "rumor"), derive_seed(world_seed, "choices"))
+            self._keys[index] = keys
+        return keys
 
     def _choice_row(self, key: int, node: int) -> Tuple[int, ...]:
         """The node's out-neighbor pick for every step of this world.
 
         Each pick is :func:`repro.rng.counter_pick` of ``(key, node,
         step)``, so the row is identical regardless of the order reverse
-        traversals touch it — and equal to the numpy kernel's row.
+        traversals touch it — and equal to the numpy kernel's row. A
+        node without out-neighbors has an empty row.
         """
         neighbors = self.graph.out[node]
         steps = self.steps
         count = len(neighbors)
+        if not count:
+            return ()
         return tuple(
             neighbors[counter_pick(key, node, step, steps, count)]
             for step in range(1, steps + 1)
         )
+
+    def relays(self, index: int, node: int) -> Tuple[int, ...]:
+        """``node``'s choice row in world ``index`` (its slack equation's input)."""
+        return self._choice_row(self.world_keys(index)[1], node)
 
     def _reverse_reachable(
         self,
@@ -223,13 +278,16 @@ class OPOAORRSampler:
         deadline: int,
         rows: Dict[int, Tuple[int, ...]],
         key: int,
-    ) -> Tuple[int, ...]:
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Nodes whose singleton cascade reaches ``end`` by ``deadline``.
 
         Runs a max-slack Dijkstra backwards from ``end``: ``slack(x)`` is
         the latest step a cascade may *arrive* at ``x`` and still be
         relayed to ``end`` by the deadline. A node belongs to the RR set
         iff its slack is >= 0 (a seed arrives at itself at step 0).
+
+        Returns:
+            ``(members, slacks)``: sorted member ids and their slacks.
         """
         graph = self.graph
         slack: Dict[int, int] = {end: deadline}
@@ -256,7 +314,8 @@ class OPOAORRSampler:
                 if candidate > slack.get(tail, -1):
                     slack[tail] = candidate
                     heappush(heap, (-candidate, tail))
-        return tuple(sorted(slack))
+        members = tuple(sorted(slack))
+        return members, tuple(slack[node] for node in members)
 
     def worker_payload(self) -> Dict[str, object]:
         """Graph-free description a pool worker rebuilds this sampler from.
@@ -273,17 +332,14 @@ class OPOAORRSampler:
             "seed": self.rng.seed,
         }
 
-    def sample_world(self, index: int) -> WorldSample:
-        """Sample world ``index``: one rumor record, one RR set per at-risk end.
+    def at_risk(self, index: int) -> List[Tuple[int, int]]:
+        """``(end, deadline)`` per bridge end the rumor reaches in world ``index``.
 
-        The returned sample's footprint is every node whose rows the
-        world read: rumor-reached nodes (their out-rows drive the
-        cascade), nodes with a drawn choice row, all RR-set members
-        (their in-rows drive the reverse Dijkstra), and every bridge end
-        (its in-row feeds the deadline lookup).
+        Runs the world's rumor record; an end's deadline is the first
+        step any in-neighbor relays the rumor to it. Ends come in
+        ascending id order.
         """
-        world_seed = derive_seed(self.rng.seed, "replica", index)
-        rumor_key = derive_seed(world_seed, "rumor")
+        rumor_key = self.world_keys(index)[0]
         steps = self.steps
 
         def rumor_chooser(node: int, neighbors: Sequence[int], step: int) -> int:
@@ -294,22 +350,35 @@ class OPOAORRSampler:
         rumor = record_cascade(
             self.graph, self.rumor_ids, steps=steps, chooser=rumor_chooser
         )
-        choices_key = derive_seed(world_seed, "choices")
+        deadlines = (
+            (end, rumor.min_in_timestamp(end, self.graph.inn[end]))
+            for end in self.end_ids
+        )
+        return [(end, deadline) for end, deadline in deadlines if deadline is not None]
+
+    def sample_ends(
+        self, index: int, ends: Sequence[Tuple[int, int]]
+    ) -> WorldSample:
+        """World ``index``'s RR sets (with slacks) for the given ``(end, deadline)`` pairs.
+
+        With the world's own :meth:`at_risk` pairs this is the full
+        world; a subset yields exactly those ends' sets of it.
+        """
+        choices_key = self.world_keys(index)[1]
         rows: Dict[int, Tuple[int, ...]] = {}
         rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        for end in self.end_ids:
-            deadline = rumor.min_in_timestamp(end, self.graph.inn[end])
-            if deadline is None:
-                continue  # the rumor never arrives; nothing to save
-            rr_sets.append(
-                (end, self._reverse_reachable(end, deadline, rows, choices_key))
+        slacks: List[Tuple[int, ...]] = []
+        for end, deadline in ends:
+            members, member_slacks = self._reverse_reachable(
+                end, deadline, rows, choices_key
             )
-        footprint = set(rumor.arrival)
-        footprint.update(rows)
-        footprint.update(self.end_ids)
-        for _, members in rr_sets:
-            footprint.update(members)
-        return WorldSample(index, rr_sets, footprint=sorted(footprint))
+            rr_sets.append((end, members))
+            slacks.append(member_slacks)
+        return WorldSample(index, rr_sets, slacks=slacks)
+
+    def sample_world(self, index: int) -> WorldSample:
+        """Sample world ``index``: one rumor record, one RR set per at-risk end."""
+        return self.sample_ends(index, self.at_risk(index))
 
     def __repr__(self) -> str:
         return (
@@ -328,6 +397,8 @@ class DOAMRRSampler:
 
     name = "DOAM-RR"
     stochastic = False
+    #: :meth:`relays` are out-neighbors, each usable at any step.
+    timed_relays = False
 
     def __init__(
         self,
@@ -344,7 +415,8 @@ class DOAMRRSampler:
         self.end_ids = _check_ids(graph, bridge_end_ids, "bridge end")
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.rng = rng
-        self._cached: Optional[Tuple[List, Tuple[int, ...]]] = None
+        #: the single world's ``(rr_sets, slacks)``, once computed.
+        self._cached: Optional[Tuple[List, Optional[List]]] = None
 
     def _rumor_arrival(self) -> Dict[int, int]:
         """Multi-source BFS hop distance from the nearest rumor seed."""
@@ -361,8 +433,13 @@ class DOAMRRSampler:
                     queue.append(head)
         return distance
 
-    def _reverse_ball(self, end: int, depth: int) -> Tuple[int, ...]:
-        """All nodes within ``depth`` reverse hops of ``end``."""
+    def _reverse_ball(
+        self, end: int, depth: int
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Nodes within ``depth`` reverse hops of ``end``, with slacks.
+
+        A member ``d`` reverse hops away has slack ``depth - d``.
+        """
         distance: Dict[int, int] = {end: 0}
         queue = deque([end])
         while queue:
@@ -374,7 +451,12 @@ class DOAMRRSampler:
                 if tail not in distance:
                     distance[tail] = hops + 1
                     queue.append(tail)
-        return tuple(sorted(distance))
+        members = tuple(sorted(distance))
+        return members, tuple(depth - distance[node] for node in members)
+
+    def relays(self, index: int, node: int) -> Tuple[int, ...]:
+        """``node``'s out-neighbors (its slack equation's input)."""
+        return self.graph.out[node]
 
     def worker_payload(self) -> Dict[str, object]:
         """Graph-free description a pool worker rebuilds this sampler from."""
@@ -390,22 +472,29 @@ class DOAMRRSampler:
         """Drop the cached world (call after the graph mutates in place)."""
         self._cached = None
 
+    def at_risk(self, index: int) -> List[Tuple[int, int]]:
+        """``(end, deadline)`` per reached bridge end; deadline = rumor hops."""
+        arrival = self._rumor_arrival()
+        return [(end, arrival[end]) for end in self.end_ids if end in arrival]
+
+    def sample_ends(
+        self, index: int, ends: Sequence[Tuple[int, int]]
+    ) -> WorldSample:
+        """The reverse balls (with slacks) of the given ``(end, deadline)`` pairs."""
+        balls = [self._reverse_ball(end, deadline) for end, deadline in ends]
+        return WorldSample(
+            index,
+            [(end, members) for (end, _), (members, _) in zip(ends, balls)],
+            slacks=[slacks for _, slacks in balls],
+        )
+
     def sample_world(self, index: int) -> WorldSample:
         """The (unique) DOAM world, whatever ``index`` is passed."""
         if self._cached is None:
-            arrival = self._rumor_arrival()
-            rr_sets = [
-                (end, self._reverse_ball(end, arrival[end]))
-                for end in self.end_ids
-                if end in arrival
-            ]
-            footprint = set(arrival)
-            footprint.update(self.end_ids)
-            for _, members in rr_sets:
-                footprint.update(members)
-            self._cached = (rr_sets, tuple(sorted(footprint)))
-        rr_sets, footprint = self._cached
-        return WorldSample(index, rr_sets, footprint=footprint)
+            world = self.sample_ends(index, self.at_risk(index))
+            self._cached = (world.rr_sets, world.slacks)
+        rr_sets, slacks = self._cached
+        return WorldSample(index, rr_sets, slacks=slacks)
 
     def __repr__(self) -> str:
         return (

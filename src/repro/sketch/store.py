@@ -34,14 +34,18 @@ until the empirical (1 - δ)-confidence half-width of σ̂(A) is at most
 ε · max(σ̂(A), 1). Deterministic samplers (DOAM) need exactly one world
 and always report sufficient precision.
 
-Dynamic graphs: when the sampler's graph mutates in place
+Dynamic graphs: every stored member carries its max slack (see
+:mod:`repro.sketch.rrset`), in a flat int32 array aligned with the
+members. When the sampler's graph mutates in place
 (:meth:`repro.graph.compact.IndexedDiGraph.apply_updates` returns the
-touched endpoint ids), :meth:`SketchStore.refresh` resamples **only**
-the worlds the mutation could have changed — by default those whose
-dependency footprint (see :class:`repro.sketch.rrset.WorldSample`)
-intersects the touched set — and re-appends every other world
-unchanged. Because worlds are pure functions of their index, the
-refreshed arrays are bit-identical to a from-scratch store sampled on
+touched endpoint ids), :meth:`SketchStore.refresh` repairs the sketch
+one RR set at a time: it reruns each world's rumor forward pass on the
+mutated graph, then resamples **only** the sets whose end changed
+at-risk status or deadline, or whose stored slacks violate some touched
+node's slack equation. The slack equations have a unique solution and
+an edge update changes only its tail's equation, so every other set is
+exactly what a resample would return; it is kept as is. The refreshed
+arrays are therefore bit-identical to a from-scratch store sampled on
 the mutated graph with the same seed.
 
 Because world ``i`` is a pure function of its index, a growth step is
@@ -58,7 +62,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.registry import metrics
@@ -80,6 +85,23 @@ def _sampler_worker_chunk(state, indices):
 
     sampler, backend = state
     return sample_worlds(sampler, indices, backend=backend)
+
+
+def _repair_worker_chunk(state, requests):
+    """Pool worker task: resample chosen ``(index, ends)`` requests."""
+    from repro.sketch.kernels import sample_ends
+
+    sampler, backend = state
+    return sample_ends(sampler, requests, backend=backend)
+
+
+def _numpy():
+    """The numpy module, or ``None`` when it is not importable."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 class SketchStore:
@@ -124,11 +146,12 @@ class SketchStore:
         "_node_ids",
         "_postings",
         "_world_np",
-        "_footprints",
+        "_slacks",
     )
 
-    #: accepted ``rule=`` values of :meth:`stale_worlds` / :meth:`refresh`.
-    INVALIDATION_RULES = ("footprint", "members")
+    #: accepted ``rule=`` values of :meth:`stale_worlds` / :meth:`refresh`
+    #: (one exact rule; the name is kept for existing callers).
+    INVALIDATION_RULES = ("footprint",)
 
     def __init__(
         self,
@@ -159,9 +182,10 @@ class SketchStore:
         # None). Invalidated whenever the set arrays grow or reset.
         self._postings = None
         self._world_np = None  # numpy copy of _world_of, same lifetime
-        # per-world dependency footprint (frozenset of node ids, or None
-        # when unknown — e.g. restored from a pre-footprint checkpoint).
-        self._footprints: List = []
+        # Max slack of every member, aligned with _members; None once any
+        # world arrives without slacks (a duck-typed sampler, or a
+        # checkpoint from before slacks were stored).
+        self._slacks: Optional[array] = array("i")
 
     # -- growth -----------------------------------------------------------------
 
@@ -181,27 +205,46 @@ class SketchStore:
 
         Serial rounds and pool workers both sample through
         :func:`repro.sketch.kernels.sample_worlds` with the store's
-        ``backend``, so the batched kernels serve every path. Falls back
-        to serial sampling when the round is trivial, the sampler is
-        deterministic (one cached world — nothing to fan out), or it
-        cannot describe itself for worker-side rebuilding.
+        ``backend``, so the batched kernels serve every path.
         """
-        from repro.exec.pool import ParallelExecutor, resolve_workers
         from repro.sketch.kernels import sample_worlds
+
+        indices = list(indices)
+        if not self._fans_out(len(indices)):
+            return sample_worlds(self.sampler, indices, backend=self.backend)
+        return self._pool_map(_sampler_worker_chunk, indices)
+
+    def _sample_requests(self, requests) -> List:
+        """Partial worlds for ``(index, ends)`` requests, via the pool when configured."""
+        from repro.sketch.kernels import sample_ends
+
+        if not self._fans_out(len(requests)):
+            return sample_ends(self.sampler, requests, backend=self.backend)
+        return self._pool_map(_repair_worker_chunk, requests)
+
+    def _fans_out(self, item_count: int) -> bool:
+        """Whether a round of ``item_count`` items goes to the pool.
+
+        Not when the round is trivial, the sampler is deterministic (one
+        cached world — nothing to fan out), or it cannot describe itself
+        for worker-side rebuilding.
+        """
+        from repro.exec.pool import resolve_workers
 
         workers = (
             self._executor.workers if self._executor is not None
             else self.workers
         )
-        worker_count = resolve_workers(workers, len(indices))
-        payload_fn = getattr(self.sampler, "worker_payload", None)
-        if (
-            worker_count <= 1
-            or len(indices) < 2
-            or payload_fn is None
-            or not self.sampler.stochastic
-        ):
-            return sample_worlds(self.sampler, list(indices), backend=self.backend)
+        return (
+            resolve_workers(workers, item_count) > 1
+            and item_count >= 2
+            and getattr(self.sampler, "worker_payload", None) is not None
+            and self.sampler.stochastic
+        )
+
+    def _pool_map(self, task, items) -> List:
+        from repro.exec.pool import ParallelExecutor
+
         if self._executor is None:
             self._executor = ParallelExecutor(
                 self.workers,
@@ -211,9 +254,9 @@ class SketchStore:
             )
         return self._executor.map_items(
             _sampler_worker_setup,
-            _sampler_worker_chunk,
-            {"sampler": payload_fn(), "backend": self.backend},
-            list(indices),
+            task,
+            {"sampler": self.sampler.worker_payload(), "backend": self.backend},
+            list(items),
             graph=self.sampler.graph,
         )
 
@@ -224,90 +267,346 @@ class SketchStore:
 
     # -- incremental invalidation ------------------------------------------------
 
-    def stale_worlds(
-        self, touched: Iterable[int], rule: str = "footprint"
-    ) -> List[int]:
-        """World indices an edge-update batch could have changed.
-
-        Args:
-            touched: endpoint ids of the mutated edges (what
-                :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
-                returns).
-            rule: ``"footprint"`` (default, exact) marks a world stale
-                when its dependency footprint intersects ``touched`` —
-                refreshing under this rule reproduces a from-scratch
-                store bit for bit. ``"members"`` only consults the
-                inverted member index; it is cheaper but *approximate*
-                (a mutated row can change a world without any touched
-                node being an RR-set member), so refreshed estimates
-                agree only statistically.
-        """
+    def _check_rule(self, rule: str) -> None:
         if rule not in self.INVALIDATION_RULES:
             raise ValidationError(
                 f"rule must be one of {self.INVALIDATION_RULES}, got {rule!r}"
             )
-        touched_set = frozenset(touched)
-        if not touched_set or self.worlds == 0:
+
+    def _repairable(self) -> bool:
+        """Whether sets can be repaired one at a time (else whole worlds resample)."""
+        return self._slacks is not None and all(
+            hasattr(self.sampler, name)
+            for name in ("at_risk", "sample_ends", "relays", "timed_relays")
+        )
+
+    def stale_worlds(
+        self, touched: Iterable[int], rule: str = "footprint"
+    ) -> List[int]:
+        """World indices an edge-update batch changes (what :meth:`refresh` touches).
+
+        Args:
+            touched: endpoint ids of the mutated edges (what
+                :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
+                returns), already applied to the sampler's graph.
+            rule: ``"footprint"``, the one (exact) rule.
+        """
+        self._check_rule(rule)
+        touched_ids = sorted(set(touched))
+        if not touched_ids or self.worlds == 0:
             return []
-        stale = set()
-        if rule == "members":
-            for node in touched_set:
-                for set_id in self.sets_containing(node):
-                    stale.add(int(self._world_of[set_id]))
-        else:
-            for world, footprint in enumerate(self._footprints):
-                if footprint is None or footprint & touched_set:
-                    stale.add(world)
-        return sorted(stale)
+        if not self._repairable():
+            return list(range(self.worlds))
+        replaced, requests = self._repair_plan(touched_ids)
+        return sorted({self._world_of[set_id] for set_id in replaced} | set(requests))
 
     def refresh(
         self, touched: Iterable[int], rule: str = "footprint"
     ) -> Tuple[int, int]:
-        """Resample the worlds invalidated by an edge-update batch.
+        """Repair the sketch after an edge-update batch.
 
-        Worlds are pure functions of their replica index, so resampling
-        exactly the stale indices on the (mutated) sampler graph and
-        re-appending every fresh world unchanged rebuilds the arrays to
-        what a from-scratch store on the mutated graph would hold (the
-        ``"footprint"`` rule makes that equality bit-exact). Resampling
-        fans out over the configured pool like any growth round.
+        Reruns every world's rumor forward pass on the mutated graph,
+        then resamples only the RR sets that change (see
+        :meth:`_repair_plan`) and drops those whose end is no longer at
+        risk; ends newly at risk get a fresh set. Sets keep their
+        (world, end) order, so the arrays end up bit-identical to a
+        from-scratch store on the mutated graph. Resampling fans out
+        over the configured pool like any growth round. Stores without
+        slacks (a duck-typed sampler, or a checkpoint from before slacks
+        were stored) resample every world whole instead.
 
-        Only freshly resampled worlds count toward the ``sketch.*``
-        sampling metrics.
+        Only freshly sampled sets count toward the ``sketch.*`` sampling
+        metrics.
 
         Returns:
             ``(stale_world_count, invalidated_set_count)`` — the number
-            of worlds resampled and the number of previously stored RR
-            sets they held (what ``serve.rrsets.invalidated`` reports).
+            of worlds whose sets changed and the number of previously
+            stored RR sets replaced or dropped (what
+            ``serve.rrsets.invalidated`` reports).
         """
-        stale = self.stale_worlds(touched, rule)
+        self._check_rule(rule)
+        touched_ids = sorted(set(touched))
         forget = getattr(self.sampler, "forget", None)
         if forget is not None:
             forget()  # a cached deterministic world is stale wholesale
-        if not stale:
+        if not touched_ids or self.worlds == 0:
             return 0, 0
-        invalidated = sum(self._sets_per_world[world] for world in stale)
-        resampled = dict(zip(stale, self._sample_range(stale)))
-        from repro.sketch.rrset import WorldSample
+        if not self._repairable():
+            stale = self.worlds
+            invalidated = self.set_count
+            worlds = self._sample_range(range(self.worlds))
+            self._reset()
+            for world in worlds:
+                self._append_world(world)
+        else:
+            replaced, requests = self._repair_plan(touched_ids)
+            changed = {self._world_of[set_id] for set_id in replaced}
+            stale = len(changed | set(requests))
+            invalidated = len(replaced)
+            if not stale:
+                return 0, 0
+            order = sorted(requests)
+            fresh = self._sample_requests(
+                [(world, requests[world]) for world in order]
+            )
+            self._splice(set(replaced), dict(zip(order, fresh)))
+        registry = metrics()
+        if registry.enabled:
+            registry.counter("sketch.worlds_invalidated").add(stale)
+            registry.counter("sketch.rrsets_invalidated").add(invalidated)
+        return stale, invalidated
 
-        kept: List = []
-        for world in range(self.worlds):
-            fresh = resampled.get(world)
-            if fresh is None:
-                lo = sum(self._sets_per_world[:world])
-                hi = lo + self._sets_per_world[world]
-                rr_sets = [
-                    (self._roots[set_id], self.members(set_id))
-                    for set_id in range(lo, hi)
-                ]
-                fresh = WorldSample(
-                    world, rr_sets, footprint=self._footprints[world]
+    def _repair_plan(
+        self, touched: Sequence[int]
+    ) -> Tuple[List[int], Dict[int, List[Tuple[int, int]]]]:
+        """Which stored sets an update changes, and what to sample instead.
+
+        A stored set changes exactly when its end left the at-risk set
+        or moved its deadline, or its slacks fail some touched node's
+        slack equation (the equations have one solution, and only the
+        touched tails' equations differ on the mutated graph).
+
+        Returns:
+            ``(replaced, requests)``: ascending ids of the stored sets
+            that change, and per world the ``(end, deadline)`` pairs to
+            sample — replaced sets whose end is still at risk, plus ends
+            newly at risk — in end order.
+        """
+        from repro.sketch.kernels import at_risk_ends
+
+        at_risk = at_risk_ends(
+            self.sampler, range(self.worlds), backend=self.backend
+        )
+        np_mod = _numpy()
+        if np_mod is None:
+            replaced = self._failing_sets_python(touched, at_risk)
+        else:
+            replaced = self._failing_sets_numpy(np_mod, touched, at_risk)
+        replaced_roots: Dict[int, set] = {}
+        for set_id in replaced:
+            replaced_roots.setdefault(self._world_of[set_id], set()).add(
+                self._roots[set_id]
+            )
+        requests: Dict[int, List[Tuple[int, int]]] = {}
+        start = 0
+        for world, pairs in enumerate(at_risk):
+            stop = start + self._sets_per_world[world]
+            held = set(self._roots[start:stop])
+            start = stop
+            gone = replaced_roots.get(world, ())
+            wanted = [
+                (end, deadline)
+                for end, deadline in pairs
+                if end not in held or end in gone
+            ]
+            if wanted:
+                requests[world] = wanted
+        return replaced, requests
+
+    def _failing_sets_python(self, touched, at_risk) -> List[int]:
+        """:meth:`_repair_plan`'s set test, one set at a time (no NumPy)."""
+        members, slacks, offsets = self._members, self._slacks, self._offsets
+        assert slacks is not None  # only repairable stores get here
+        roots, world_of = self._roots, self._world_of
+
+        def slack_in(set_id: int, node: int) -> int:
+            lo, hi = offsets[set_id], offsets[set_id + 1]
+            position = bisect_left(members, node, lo, hi)
+            if position < hi and members[position] == node:
+                return slacks[position]
+            return -1
+
+        deadline_of = [dict(pairs) for pairs in at_risk]
+        failing = {
+            set_id
+            for set_id, root in enumerate(roots)
+            if deadline_of[world_of[set_id]].get(root, -1)
+            != slack_in(set_id, root)
+        }
+        sampler = self.sampler
+        for node in touched:
+            candidates = set(self.sets_containing(node))
+            for head in set(sampler.graph.out[node]):
+                candidates.update(self.sets_containing(head))
+            rows: Dict[int, Tuple[int, ...]] = {}
+            for set_id in sorted(candidates - failing):
+                if roots[set_id] == node:
+                    continue  # the root's slack is its deadline
+                world = world_of[set_id]
+                if world not in rows:
+                    rows[world] = sampler.relays(world, node)
+                expected = -1
+                for step, head in enumerate(rows[world], start=1):
+                    value = slack_in(set_id, head)
+                    if sampler.timed_relays:
+                        if value >= step:
+                            expected = max(expected, step - 1)
+                    else:
+                        expected = max(expected, value - 1)
+                if expected != slack_in(set_id, node):
+                    failing.add(set_id)
+        return sorted(failing)
+
+    def _failing_sets_numpy(self, np_mod, touched, at_risk) -> List[int]:
+        """:meth:`_repair_plan`'s set test, vectorised over all candidate sets.
+
+        Members are ascending within each set and sets are in id order,
+        so ``set_id * n + member`` is one sorted key array: any
+        ``(set, node)`` slack is a ``searchsorted`` away. Candidates for
+        a touched node are the postings of the node and of its
+        out-neighbors — a set holding none of them has the node's
+        equation satisfied at -1 on both sides.
+        """
+        int64 = np_mod.int64
+        node_count = self.sampler.graph.node_count
+        offsets = np_mod.array(self._offsets, dtype=int64)
+        roots = np_mod.array(self._roots, dtype=int64)
+        world_of = np_mod.array(self._world_of, dtype=int64)
+        set_ids = np_mod.arange(len(roots), dtype=int64)
+        keys = (
+            np_mod.repeat(set_ids, np_mod.diff(offsets)) * node_count
+            + np_mod.array(self._members, dtype=int64)
+        )
+        values = np_mod.array(self._slacks, dtype=int64)
+
+        def lookup(table, table_values, wanted):
+            if not len(table):
+                return np_mod.full(wanted.shape, -1, dtype=int64)
+            position = np_mod.minimum(
+                np_mod.searchsorted(table, wanted), len(table) - 1
+            )
+            return np_mod.where(
+                table[position] == wanted, table_values[position], -1
+            )
+
+        pair_keys = np_mod.array(
+            [
+                world * node_count + end
+                for world, pairs in enumerate(at_risk)
+                for end, _ in pairs
+            ],
+            dtype=int64,
+        )
+        pair_deadlines = np_mod.array(
+            [deadline for pairs in at_risk for _, deadline in pairs],
+            dtype=int64,
+        )
+        failing = lookup(
+            pair_keys, pair_deadlines, world_of * node_count + roots
+        ) != lookup(keys, values, set_ids * node_count + roots)
+        sampler = self.sampler
+        for node in touched:
+            heads = sampler.graph.out[node]
+            postings = [self.sets_containing(node)]
+            postings.extend(self.sets_containing(head) for head in set(heads))
+            candidates = np_mod.unique(
+                np_mod.concatenate(
+                    [np_mod.asarray(ids, dtype=int64) for ids in postings]
                 )
-                kept.append((fresh, False))
+            )
+            candidates = candidates[
+                (roots[candidates] != node) & ~failing[candidates]
+            ]
+            if not candidates.size:
+                continue
+            stored = lookup(keys, values, candidates * node_count + node)
+            if heads:
+                row_worlds, inverse = np_mod.unique(
+                    world_of[candidates], return_inverse=True
+                )
+                table = np_mod.array(
+                    [sampler.relays(int(world), node) for world in row_worlds],
+                    dtype=int64,
+                )
+                relay_slacks = lookup(
+                    keys,
+                    values,
+                    candidates[:, None] * node_count + table[inverse.ravel()],
+                )
+                if sampler.timed_relays:
+                    steps = np_mod.arange(1, table.shape[1] + 1, dtype=int64)
+                    expected = np_mod.where(
+                        relay_slacks >= steps, steps - 1, -1
+                    ).max(axis=1)
+                else:
+                    expected = np_mod.maximum(relay_slacks.max(axis=1) - 1, -1)
             else:
-                kept.append((fresh, True))
+                expected = -1
+            failing[candidates[stored != expected]] = True
+        return np_mod.nonzero(failing)[0].tolist()
+
+    def _splice(self, replaced: set, fresh: Dict[int, Any]) -> None:
+        """Rebuild the arrays: drop ``replaced`` sets, merge in ``fresh`` ones.
+
+        ``fresh`` maps a world index to a partial
+        :class:`~repro.sketch.rrset.WorldSample`; within a world, kept and
+        fresh sets interleave in end order.
+        """
+        registry = metrics()
+        track = registry.enabled
+        old_slacks = self._slacks
+        assert old_slacks is not None  # only repairable stores get here
+        members = array("i")
+        slacks = array("i")
+        offsets = array("q", [0])
+        roots = array("i")
+        world_of = array("i")
+        sets_per_world = array("i")
+        sampled_sets = sampled_members = 0
+        start = 0
+        for world in range(self.worlds):
+            stop = start + self._sets_per_world[world]
+            # (root, members, slacks, lo, hi, fresh) per set of this world.
+            pieces = [
+                (
+                    self._roots[set_id],
+                    self._members,
+                    old_slacks,
+                    self._offsets[set_id],
+                    self._offsets[set_id + 1],
+                    False,
+                )
+                for set_id in range(start, stop)
+                if set_id not in replaced
+            ]
+            sample = fresh.get(world)
+            if sample is not None:
+                new_roots, new_offsets, new_members, new_slacks = sample.packed()
+                pieces.extend(
+                    (root, new_members, new_slacks, new_offsets[i], new_offsets[i + 1], True)
+                    for i, root in enumerate(new_roots)
+                )
+            pieces.sort(key=lambda piece: piece[0])
+            for root, source_members, source_slacks, lo, hi, is_fresh in pieces:
+                members.extend(source_members[lo:hi])
+                slacks.extend(source_slacks[lo:hi])
+                offsets.append(len(members))
+                roots.append(root)
+                if is_fresh:
+                    sampled_sets += 1
+                    sampled_members += hi - lo
+                    if track:
+                        registry.histogram("sketch.rrset_size").observe(hi - lo)
+            world_of.extend([world] * len(pieces))
+            sets_per_world.append(len(pieces))
+            start = stop
+        self._members, self._slacks, self._offsets = members, slacks, offsets
+        self._roots, self._world_of = roots, world_of
+        self._sets_per_world = sets_per_world
+        self._node_ids = set(members)
+        self._postings = None
+        self._world_np = None
+        if track:
+            registry.counter("sketch.rrsets_sampled").add(sampled_sets)
+            registry.counter("sketch.rrset_members_stored").add(sampled_members)
+            registry.set_gauge("sketch.index_nodes", len(self._node_ids))
+            registry.set_gauge("sketch.set_count", len(self._roots))
+
+    def _reset(self) -> None:
+        """Empty every array (the sampler and knobs stay)."""
         self.worlds = 0
         self._members = array("i")
+        self._slacks = array("i")
         self._offsets = array("q", [0])
         self._roots = array("i")
         self._world_of = array("i")
@@ -315,29 +614,14 @@ class SketchStore:
         self._node_ids = set()
         self._postings = None
         self._world_np = None
-        self._footprints = []
-        for world, counted in kept:
-            self._append_world(world, count=counted)
-        registry = metrics()
-        if registry.enabled:
-            registry.counter("sketch.worlds_invalidated").add(len(stale))
-            registry.counter("sketch.rrsets_invalidated").add(invalidated)
-        return len(stale), invalidated
 
-    def _append_world(self, world, count: bool = True) -> None:
-        """Append one world's sets; ``count=False`` skips the sampling
-        metrics (used by :meth:`refresh` when re-appending a world that
-        was *not* resampled — its sampling was already counted when it
-        was first drawn)."""
+    def _append_world(self, world) -> None:
+        """Append one freshly sampled world's sets and count its sampling."""
         registry = metrics()
-        track = registry.enabled and count
-        footprint = getattr(world, "footprint", None)
-        self._footprints.append(
-            None if footprint is None else frozenset(footprint)
-        )
+        track = registry.enabled
         packed = getattr(world, "packed", None)
         if packed is not None:
-            roots, offsets, members = packed()
+            roots, offsets, members, slacks = packed()
             set_count = len(roots)
             base = len(self._members)
             self._roots.extend(roots)
@@ -351,6 +635,7 @@ class SketchStore:
                     )
             self._node_ids.update(members)
         else:  # duck-typed world: fall back to the tuple view
+            slacks = None
             set_count = len(world.rr_sets)
             for root, members in world.rr_sets:
                 self._roots.append(root)
@@ -360,6 +645,10 @@ class SketchStore:
                 self._node_ids.update(members)
                 if track:
                     registry.histogram("sketch.rrset_size").observe(len(members))
+        if slacks is None:
+            self._slacks = None  # unknown from here on: refresh resamples whole worlds
+        elif self._slacks is not None:
+            self._slacks.extend(slacks)
         self._postings = None
         self._world_np = None
         self.worlds += 1
@@ -387,14 +676,11 @@ class SketchStore:
         return {
             "worlds": self.worlds,
             "members": list(self._members),
+            "slacks": None if self._slacks is None else list(self._slacks),
             "offsets": list(self._offsets),
             "roots": list(self._roots),
             "world_of": list(self._world_of),
             "sets_per_world": list(self._sets_per_world),
-            "footprints": [
-                None if footprint is None else sorted(footprint)
-                for footprint in self._footprints
-            ],
         }
 
     def load_state(self, state: Dict[str, object]) -> "SketchStore":
@@ -403,6 +689,9 @@ class SketchStore:
         Restoration deliberately does **not** replay the ``sketch.*``
         metrics — the interrupted run already counted that sampling
         work; the resumed run only counts what it samples itself.
+        Snapshots from before slacks were stored (they carry per-world
+        ``footprints`` instead) restore without slacks, so a later
+        :meth:`refresh` resamples whole worlds.
         """
         if self.worlds or self._roots:
             raise ValidationError(
@@ -410,22 +699,16 @@ class SketchStore:
             )
         self.worlds = int(state["worlds"])
         self._members = array("i", (int(v) for v in state["members"]))
+        slacks = state.get("slacks")
+        self._slacks = (
+            None if slacks is None else array("i", (int(v) for v in slacks))
+        )
         self._offsets = array("q", (int(v) for v in state["offsets"]))
         self._roots = array("i", (int(v) for v in state["roots"]))
         self._world_of = array("i", (int(v) for v in state["world_of"]))
         self._sets_per_world = array(
             "i", (int(v) for v in state["sets_per_world"])
         )
-        # pre-footprint checkpoints restore as unknown footprints, which
-        # stale_worlds treats conservatively (always stale).
-        footprints = state.get("footprints")
-        if footprints is None:
-            self._footprints = [None] * self.worlds
-        else:
-            self._footprints = [
-                None if footprint is None else frozenset(footprint)
-                for footprint in footprints
-            ]
         self._node_ids = set(self._members)
         self._postings = None
         self._world_np = None
@@ -469,10 +752,7 @@ class SketchStore:
         cached = self._postings
         if cached is not None:
             return cached
-        try:
-            import numpy as np_mod
-        except ImportError:
-            np_mod = None
+        np_mod = _numpy()
         top = (max(self._node_ids) + 1) if self._node_ids else 0
         if np_mod is not None:
             members = np_mod.array(self._members, dtype=np_mod.int32)

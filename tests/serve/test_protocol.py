@@ -15,6 +15,7 @@ from repro.serve import (
     process_request,
     serve_unix_socket,
 )
+from repro.serve.protocol import MAX_REQUEST_BYTES
 
 
 def build_service():
@@ -184,7 +185,64 @@ class TestUnixSocketTransport:
         assert alive["ok"] is True
 
 
+    def test_oversize_line_is_answered_and_skipped(self, tmp_path):
+        """A line past MAX_REQUEST_BYTES gets an error; the connection lives on."""
+        socket_path = str(tmp_path / "serve.sock")
+        pairs = ", ".join(["[0, 1]"] * (MAX_REQUEST_BYTES // 8 + 1))
+        oversize = '{"op": "update", "id": 1, "insert": [' + pairs + "]}\n"
+        assert len(oversize) > MAX_REQUEST_BYTES
+
+        async def scenario():
+            service, _ = build_service()
+            server = asyncio.ensure_future(
+                serve_unix_socket(service, socket_path)
+            )
+            await asyncio.sleep(0.05)
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+            writer.write(oversize.encode())
+            writer.write((json.dumps({"op": "stats", "id": 2}) + "\n").encode())
+            await writer.drain()
+            rejected = json.loads(await reader.readline())
+            alive = json.loads(await reader.readline())
+            writer.write(
+                (json.dumps({"op": "shutdown", "id": 3}) + "\n").encode()
+            )
+            await writer.drain()
+            await reader.readline()
+            writer.close()
+            await asyncio.wait_for(server, timeout=5)
+            return rejected, alive, service.graph.version
+
+        rejected, alive, version = run(scenario())
+        assert rejected["ok"] is False
+        assert rejected["id"] is None
+        assert str(MAX_REQUEST_BYTES) in rejected["error"]
+        assert alive["ok"] is True and alive["id"] == 2
+        assert version == 0  # the oversize update was not applied
+
+
 class TestHandleConnection:
+    def test_oversize_line_split_across_chunks(self):
+        """The rest of an oversize line is skipped however it arrives."""
+
+        async def scenario():
+            service, _ = build_service()
+            reader = asyncio.StreamReader(limit=MAX_REQUEST_BYTES)
+            chunk = b"x" * (MAX_REQUEST_BYTES // 3)
+            for _ in range(5):
+                reader.feed_data(chunk)
+            reader.feed_data(b'"tail"]}\n')
+            reader.feed_data((json.dumps({"op": "stats", "id": 1}) + "\n").encode())
+            reader.feed_eof()
+            writer = _NullWriter()
+            stopped = await handle_connection(service, reader, writer)
+            return stopped, [json.loads(line) for line in writer.lines]
+
+        stopped, responses = run(scenario())
+        assert stopped is False
+        assert [response["ok"] for response in responses] == [False, True]
+        assert responses[1]["id"] == 1
+
     def test_eof_returns_false(self):
         async def scenario():
             service, _ = build_service()

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.algorithms.ris_greedy import RISGreedySelector
+from repro.exec import shm as shm_module
+from repro.exec.pool import ParallelExecutor
+from repro.graph.compact import IndexedDiGraph
+from repro.graph.generators import erdos_renyi
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
-from repro.sketch.rrset import rebuild_sampler, sampler_for
+from repro.sketch.rrset import OPOAORRSampler, rebuild_sampler, sampler_for
 from repro.sketch.store import SketchStore
 
 
@@ -114,3 +118,45 @@ class TestRISGreedyParity:
         serial = selector(None).select(fig2_context, budget=2)
         parallel = selector(2).select(fig2_context, budget=2)
         assert parallel == serial
+
+
+class TestRefreshThroughPool:
+    """Repairs fan out over a warm pool with the serial store's results."""
+
+    @pytest.mark.parametrize("share", ["pickle", "shm"])
+    def test_refresh_matches_serial(self, share):
+        if share == "shm" and shm_module.np is None:
+            pytest.skip("shm publication requires NumPy")
+
+        def store(executor=None):
+            digraph = erdos_renyi(60, 0.07, rng=RngStream(4), directed=True)
+            graph = IndexedDiGraph.from_digraph(digraph)
+            sampler = OPOAORRSampler(
+                graph, [0, 1], [20, 21, 22, 23, 24], steps=8, rng=RngStream(9)
+            )
+            return SketchStore(sampler, executor=executor).ensure_worlds(24)
+
+        def mutate_and_refresh(target):
+            graph = target.sampler.graph
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                for tail in (3, 20, 41):
+                    touched = graph.apply_updates(
+                        [(tail, (tail + 7) % graph.node_count)],
+                        [(tail, graph.out[tail][0])] if graph.out[tail] else [],
+                    )
+                    target.refresh(touched)
+            return registry
+
+        serial = store()
+        serial_registry = mutate_and_refresh(serial)
+        executor = ParallelExecutor(workers=2, share=share)
+        try:
+            pooled = store(executor)
+            pooled_registry = mutate_and_refresh(pooled)
+        finally:
+            executor.close()
+        assert serial_registry.counter_value("sketch.rrsets_invalidated") > 0
+        assert store_arrays(pooled) == store_arrays(serial)
+        assert pooled._slacks == serial._slacks
+        assert counters_only(pooled_registry) == counters_only(serial_registry)

@@ -3,8 +3,9 @@
 The contract under test (see :mod:`repro.sketch.kernels`): for every
 replica index, the ``numpy`` backend returns the same
 :class:`~repro.sketch.rrset.WorldSample` — same ``rr_sets`` (roots and
-sorted members) and the same dependency ``footprint`` — as the
-per-world python samplers, for both OPOAO and DOAM semantics. Plus an
+sorted members) and the same per-member ``slacks`` — as the per-world
+python samplers, for both OPOAO and DOAM semantics, and resampling a
+subset of a world's ends returns exactly those ends' sets. Plus an
 exact small-graph oracle for the batched DOAM depth-bounded reverse
 BFS, the counter-keyed pick units, and registry degradation (this module
 runs in the no-NumPy CI job; vectorized cases skip themselves).
@@ -29,9 +30,11 @@ from repro.sketch.kernels import (
     NumpySketchKernel,
     PythonSketchKernel,
     available_sketch_backends,
+    at_risk_ends,
     counter_picks,
     register_sketch_backend,
     resolve_sketch_backend,
+    sample_ends,
     sample_worlds,
 )
 from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler
@@ -61,7 +64,7 @@ def assert_worlds_identical(expected, actual):
     for reference, candidate in zip(expected, actual):
         assert candidate.index == reference.index
         assert candidate.rr_sets == reference.rr_sets
-        assert candidate.footprint == reference.footprint
+        assert candidate.slacks == reference.slacks
 
 
 @needs_numpy
@@ -145,7 +148,7 @@ class TestDOAMDifferentialAndOracle:
         assert sorted(rr_by_root) == sorted(
             end for end in ENDS if end in arrival
         )
-        for end, members in world.rr_sets:
+        for (end, members), slacks in zip(world.rr_sets, world.slacks):
             reverse = _bfs_distances(inn, [end])
             oracle = tuple(
                 sorted(
@@ -155,6 +158,8 @@ class TestDOAMDifferentialAndOracle:
                 )
             )
             assert members == oracle
+            # A member d reverse hops away may arrive d steps late.
+            assert slacks == tuple(arrival[end] - reverse[node] for node in members)
 
     def test_cache_priming_preserves_forget_semantics(self):
         graph = build_graph(4)
@@ -163,6 +168,105 @@ class TestDOAMDifferentialAndOracle:
         assert sampler._cached is not None
         sampler.forget()
         assert sampler._cached is None
+
+
+def _slack_oracle(sampler, index, end, deadline):
+    """Max slacks by value iteration of the OPOAO slack equations.
+
+    Starting from the root alone, every node's slack is raised to
+    ``max{t - 1 : S(row[t]) >= t}`` until nothing moves — the unique
+    solution, computed without any search order.
+    """
+    key = sampler.world_keys(index)[1]
+    graph = sampler.graph
+    slack = {end: deadline}
+    changed = True
+    while changed:
+        changed = False
+        for node in range(graph.node_count):
+            if node == end:
+                continue
+            row = sampler._choice_row(key, node)
+            best = max(
+                (step - 1 for step, head in enumerate(row, 1) if slack.get(head, -1) >= step),
+                default=-1,
+            )
+            if best > slack.get(node, -1):
+                slack[node] = best
+                changed = True
+    members = tuple(sorted(slack))
+    return members, tuple(slack[node] for node in members)
+
+
+class TestSlacks:
+    """Per-member slacks: python == numpy == the equations' solution."""
+
+    @needs_numpy
+    @settings(max_examples=15, deadline=None)
+    @given(
+        graph_seed=st.integers(min_value=0, max_value=50),
+        rng_seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.integers(min_value=1, max_value=12),
+    )
+    def test_python_and_numpy_slacks_identical(self, graph_seed, rng_seed, steps):
+        graph = build_graph(graph_seed, p=0.12)
+        for make in (
+            lambda: OPOAORRSampler(graph, RUMOR, ENDS, steps=steps, rng=RngStream(rng_seed)),
+            lambda: DOAMRRSampler(graph, RUMOR, ENDS, max_hops=steps),
+        ):
+            reference = resolve_sketch_backend("python").sample(make(), range(4))
+            vectorized = resolve_sketch_backend("numpy").sample(make(), range(4))
+            for python_world, numpy_world in zip(reference, vectorized):
+                assert numpy_world.slacks == python_world.slacks
+                assert numpy_world.packed() == python_world.packed()
+
+    def test_slacks_solve_the_slack_equations(self):
+        graph = build_graph(11, p=0.15)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=6, rng=RngStream(3))
+        for index in range(4):
+            world = sampler.sample_world(index)
+            deadlines = dict(sampler.at_risk(index))
+            assert [root for root, _ in world.rr_sets] == sorted(deadlines)
+            for (end, members), slacks in zip(world.rr_sets, world.slacks):
+                assert (members, slacks) == _slack_oracle(
+                    sampler, index, end, deadlines[end]
+                )
+
+
+class TestSampleEnds:
+    """Resampling some of a world's ends == those ends' sets in a full sample."""
+
+    @pytest.mark.parametrize("backend", available_sketch_backends())
+    @pytest.mark.parametrize("semantics", ["opoao", "doam"])
+    def test_subset_equals_full_sample(self, backend, semantics):
+        graph = build_graph(9, p=0.12)
+        if semantics == "opoao":
+            sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=8, rng=RngStream(5))
+        else:
+            sampler = DOAMRRSampler(graph, RUMOR, ENDS)
+        indices = [3, 0, 7, 7]
+        full = sample_worlds(sampler, indices, backend=backend)
+        at_risk = at_risk_ends(sampler, indices, backend=backend)
+        assert at_risk == [sampler.at_risk(index) for index in indices]
+        requests = [(index, ends[::2]) for index, ends in zip(indices, at_risk)]
+        partial = sample_ends(sampler, requests, backend=backend)
+        for world, (index, ends), subset in zip(full, requests, partial):
+            assert subset.index == index
+            by_root = dict(zip(dict(world.rr_sets), world.slacks))
+            members = dict(world.rr_sets)
+            assert [root for root, _ in subset.rr_sets] == [end for end, _ in ends]
+            for (root, subset_members), subset_slacks in zip(
+                subset.rr_sets, subset.slacks
+            ):
+                assert subset_members == members[root]
+                assert subset_slacks == by_root[root]
+
+    def test_empty_request_yields_empty_world(self):
+        graph = build_graph(9)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=8, rng=RngStream(5))
+        for backend in available_sketch_backends():
+            (world,) = sample_ends(sampler, [(4, [])], backend=backend)
+            assert world.index == 4 and world.rr_sets == [] and world.slacks == []
 
 
 class TestCounterPicks:
@@ -194,6 +298,16 @@ class TestCounterPicks:
                 assert vector.tolist() == scalar
 
     @needs_numpy
+    def test_per_lane_keys_equal_scalar_keys(self):
+        chooser = random.Random(99)
+        keys = [chooser.randrange(1 << 63) for _ in range(5)] + [(1 << 63) - 1]
+        nodes = numpy.array([chooser.randrange(1 << 20) for _ in keys])
+        lanes = counter_picks(numpy, numpy.array(keys), nodes, 3, 8, 13)
+        assert lanes.tolist() == [
+            counter_pick(key, int(node), 3, 8, 13) for key, node in zip(keys, nodes)
+        ]
+
+    @needs_numpy
     def test_row_drawn_alone_equals_row_drawn_in_batch(self):
         graph = build_graph(5, p=0.3)
         data = NumpySketchKernel()._graph_data(graph)
@@ -202,10 +316,10 @@ class TestCounterPicks:
         batch = numpy.array(
             [node for node in range(NODES) if graph.out[node]], dtype=numpy.int64
         )
-        together = _RowTable(numpy, data, 9, key)
+        together = _RowTable(numpy, data, 9, [key])
         together.ensure(batch)
         for node in batch.tolist():
-            alone = _RowTable(numpy, data, 9, key)
+            alone = _RowTable(numpy, data, 9, [key])
             alone.ensure(numpy.array([node], dtype=numpy.int64))
             row = alone.rows_for(numpy.array([node]))[0].tolist()
             assert row == together.rows_for(numpy.array([node]))[0].tolist()
@@ -291,7 +405,7 @@ class TestStoreBackends:
         assert reference._roots == vectorized._roots
         assert reference._world_of == vectorized._world_of
         assert reference._sets_per_world == vectorized._sets_per_world
-        assert reference._footprints == vectorized._footprints
+        assert reference._slacks == vectorized._slacks
         assert reference.nodes() == vectorized.nodes()
         for node in reference.nodes():
             assert list(reference.sets_containing(node)) == list(
