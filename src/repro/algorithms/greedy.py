@@ -200,10 +200,6 @@ class GreedySelector(ProtectorSelector):
             serial, ``0`` one per CPU). Only the batched estimator can
             fan out, so this needs ``backend``; selections are
             bit-identical whatever the worker count.
-        chunk_timeout: per-chunk pool deadline in seconds for parallel
-            σ̂ rounds (``None`` waits forever; see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, every completed selection round
             is saved, and a matching checkpoint resumes from its chosen
@@ -228,8 +224,6 @@ class GreedySelector(ProtectorSelector):
         backend: Optional[str] = None,
         world_source: str = "native",
         workers: Optional[int] = None,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
     ) -> None:
@@ -245,8 +239,6 @@ class GreedySelector(ProtectorSelector):
         self.backend = backend
         self.world_source = world_source
         self.workers = workers
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.executor = executor
         #: σ̂ evaluations consumed by the most recent select() call — the
@@ -276,8 +268,6 @@ class GreedySelector(ProtectorSelector):
                 backend=self.backend,
                 world_source=self.world_source,
                 workers=self.workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
                 executor=self.executor,
             )
         return SigmaEstimator(

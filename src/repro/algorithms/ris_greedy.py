@@ -69,10 +69,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
             ``1`` serial, ``0`` one per CPU); forwarded to the
             :class:`~repro.sketch.store.SketchStore` so every doubling
             round fans out. Selections are bit-identical regardless.
-        chunk_timeout: per-chunk pool deadline in seconds for parallel
-            sampling (``None`` waits forever; see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, the store's sampled worlds are
             saved after every growth round, and a matching checkpoint
@@ -102,8 +98,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         verify_backend: Optional[str] = None,
         verify_runs: int = 64,
         workers: Optional[int] = None,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
         backend: Optional[str] = None,
@@ -119,8 +113,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         self.verify_backend = verify_backend
         self.verify_runs = int(check_positive(verify_runs, "verify_runs"))
         self.workers = workers
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.executor = executor
         self.backend = backend
@@ -151,8 +143,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         store = SketchStore(
             sampler,
             workers=self.workers,
-            chunk_timeout=self.chunk_timeout,
-            chunk_retries=self.chunk_retries,
             executor=self.executor,
             backend=self.backend,
         )

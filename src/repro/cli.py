@@ -119,16 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-chunk deadline for pool work; a chunk that misses it "
-            "is retried deterministically (default: wait forever)",
+            help="per-chunk deadline of the shared --workers pool; a chunk "
+            "that misses it is retried deterministically (default: wait "
+            "forever)",
         )
         p.add_argument(
             "--chunk-retries",
             type=int,
             default=None,
             metavar="K",
-            help="resubmissions per failed chunk before degrading to "
-            "inline execution (default: 2); see docs/parallel.md",
+            help="resubmissions per failed chunk of the shared --workers "
+            "pool before degrading to inline execution (default: 2); see "
+            "docs/parallel.md",
         )
 
     def add_checkpoint_args(p: argparse.ArgumentParser) -> None:
@@ -537,8 +539,6 @@ def _selector(name: str, rng: RngStream, args=None, checkpoint=None):
             rng=rng.fork("ris-greedy"),
             verify_backend=getattr(args, "backend", None),
             workers=getattr(args, "workers", None),
-            chunk_timeout=getattr(args, "chunk_timeout", None),
-            chunk_retries=getattr(args, "chunk_retries", None),
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
             backend=getattr(args, "backend", None),
@@ -554,8 +554,6 @@ def _selector(name: str, rng: RngStream, args=None, checkpoint=None):
             rng=rng.fork("greedy"),
             backend=getattr(args, "backend", None),
             workers=getattr(args, "workers", None),
-            chunk_timeout=getattr(args, "chunk_timeout", None),
-            chunk_retries=getattr(args, "chunk_retries", None),
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
         )
@@ -678,8 +676,6 @@ def _cmd_simulate(args) -> int:
             backend=args.backend,
             workers=args.workers,
             checkpoint=checkpoint,
-            chunk_timeout=args.chunk_timeout,
-            chunk_retries=args.chunk_retries,
             executor=getattr(args, "executor", None),
         )
     print(
@@ -844,16 +840,12 @@ def _cmd_bench(args) -> int:
         f"{args.runs} runs in {timer.elapsed:.3f}s = {rate:.1f} runs/s"
     )
     if args.workers is not None and model.stochastic:
-        from repro.diffusion.parallel import ParallelMonteCarloSimulator
+        from repro.diffusion.simulation import MonteCarloSimulator
         from repro.exec.pool import resolve_workers
 
         worker_count = resolve_workers(args.workers, args.runs)
-        simulator = ParallelMonteCarloSimulator(
-            model,
-            runs=args.runs,
-            max_hops=args.hops,
-            processes=worker_count,
-            executor=getattr(args, "executor", None),
+        simulator = MonteCarloSimulator(
+            model, runs=args.runs, max_hops=args.hops, executor=args.executor
         )
         parallel_timer = Timer("bench-parallel")
         with parallel_timer:
@@ -964,8 +956,6 @@ def _cmd_gossip(args) -> int:
             runs=args.runs,
             budget=args.protectors,
             processes=args.workers,
-            chunk_timeout=args.chunk_timeout,
-            chunk_retries=args.chunk_retries,
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
         )
@@ -988,8 +978,6 @@ def _cmd_gossip(args) -> int:
         config,
         runs=args.runs,
         processes=args.workers,
-        chunk_timeout=args.chunk_timeout,
-        chunk_retries=args.chunk_retries,
         checkpoint=checkpoint,
         executor=getattr(args, "executor", None),
     )
@@ -1187,8 +1175,9 @@ def _run_command(command, args) -> int:
 ParallelExecutor` is built up front and stashed on ``args.executor``;
     every parallel consumer the command touches (selection, evaluation,
     benchmarks, gossip) submits to it, so one invocation creates exactly
-    one pool and one graph publication. Without ``--workers`` the
-    attribute is ``None`` and consumers fall back to their own settings.
+    one pool and one graph publication, and ``--chunk-timeout`` /
+    ``--chunk-retries`` configure it for all of them. Without
+    ``--workers`` the attribute is ``None`` and consumers run inline.
     """
     workers = getattr(args, "workers", None)
     if workers is None:

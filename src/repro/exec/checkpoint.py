@@ -18,8 +18,11 @@ File format (``repro.ckpt/v1``)::
     }
 
 One file holds one entry per loop *kind* (``greedy``, ``sketch``,
-``mc``), so a ``repro simulate --checkpoint run.ckpt`` pipeline can
-checkpoint its selection stage and its evaluation stage side by side.
+``mc``, ``gossip``, ``impressions``), so a ``repro simulate --checkpoint
+run.ckpt`` pipeline can checkpoint its selection stage and its
+evaluation stage side by side. The three replica sweeps (``mc``,
+``gossip``, ``impressions``) share one resume-and-batch loop,
+:func:`run_checkpointed`.
 Each entry carries the :func:`run_key` fingerprint of the configuration
 that wrote it; loading an entry whose key differs from the resuming
 run's raises :class:`~repro.errors.CheckpointError` rather than quietly
@@ -34,11 +37,18 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import CheckpointError
+from repro.obs.registry import metrics
 
-__all__ = ["CHECKPOINT_SCHEMA", "CheckpointStore", "as_store", "run_key"]
+__all__ = [
+    "CHECKPOINT_SCHEMA",
+    "CheckpointStore",
+    "as_store",
+    "run_checkpointed",
+    "run_key",
+]
 
 #: schema tag written into (and required of) every checkpoint file.
 CHECKPOINT_SCHEMA = "repro.ckpt/v1"
@@ -176,3 +186,40 @@ def as_store(
     if checkpoint is None or isinstance(checkpoint, CheckpointStore):
         return checkpoint
     return CheckpointStore(checkpoint, resume=True)
+
+
+def run_checkpointed(
+    checkpoint: Union[str, os.PathLike, CheckpointStore, None],
+    kind: str,
+    key: Callable[[], str],
+    total: int,
+    every: int,
+    run: Callable[[int, int], List[Any]],
+    encode: Callable[[List[Any]], Dict[str, Any]],
+    decode: Callable[[Dict[str, Any]], List[Any]],
+) -> List[Any]:
+    """Rows ``0 .. total - 1`` of a prefix-deterministic replica sweep.
+
+    ``run(start, stop)`` returns rows ``start .. stop - 1``. Without a
+    checkpoint one call covers the sweep. With one, a matching saved
+    prefix is resumed (counted in ``exec.resumed_rounds``) and the rest
+    runs in batches of ``every`` rows, each followed by an atomic save
+    of ``encode(rows)`` under ``kind``. ``total`` stays outside the run
+    key on purpose: row ``i`` is a pure function of ``i``, so a shorter
+    run's prefix seeds a longer one and a longer one is truncated.
+    ``key`` is called only when a checkpoint is configured.
+    """
+    store = as_store(checkpoint)
+    if store is None:
+        return list(run(0, total))
+    run_id = key()
+    rows: List[Any] = []
+    entry = store.load(kind, run_id)
+    if entry is not None:
+        rows = decode(entry["state"])[:total]
+        if rows:
+            metrics().inc("exec.resumed_rounds", len(rows))
+    while len(rows) < total:
+        rows.extend(run(len(rows), min(total, len(rows) + every)))
+        store.save(kind, run_id, encode(rows), rounds=len(rows))
+    return rows

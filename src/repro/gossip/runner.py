@@ -1,7 +1,7 @@
 """Replica fan-out for the gossip engine.
 
 Gossip replicas never communicate, so they parallelise exactly like the
-diffusion Monte-Carlo loop (:mod:`repro.diffusion.parallel`): replica
+diffusion Monte-Carlo loop (:mod:`repro.diffusion.simulation`): replica
 ``i`` always runs on ``rng.replica(i)`` no matter which worker executes
 it, workers ship compact :class:`GossipReplicaRecord` rows home, and the
 parent folds them into the :class:`GossipAggregate` in replica order —
@@ -9,17 +9,18 @@ serial (``processes=1``, the pool's inline path) and parallel runs are
 bit-identical.
 
 Completed replica batches checkpoint through
-:mod:`repro.exec.checkpoint` under kind ``"gossip"``; ``runs`` is kept
-out of the run-key on purpose so a shorter run's prefix seeds a longer
-one. Workers report ``gossip.*`` counters, a ``gossip.final_infected``
+:func:`repro.exec.checkpoint.run_checkpointed` under kind ``"gossip"``;
+``runs`` is kept out of the run-key on purpose so a shorter run's prefix
+seeds a longer one. Workers report ``gossip.*`` counters, a ``gossip.final_infected``
 histogram, and a ``gossip.residual_infected`` gauge (max over replicas)
 through the pool's snapshot-merge protocol.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.exec.checkpoint import run_checkpointed, run_key
 from repro.exec.pool import ParallelExecutor
 from repro.gossip.config import GossipConfig
 from repro.gossip.sim import MESSAGE_KINDS, GossipEngine, GossipOutcome
@@ -228,12 +229,9 @@ class GossipMonteCarlo:
     Args:
         config: the gossip protocol instance.
         runs: replica count.
-        processes: worker request (``None``/``1`` = inline serial,
-            ``0``/``"auto"``-style counts as in
-            :func:`repro.exec.pool.resolve_workers`).
-        share: graph publication mode for the pool.
-        chunk_timeout / chunk_retries: pool resilience knobs
-            (see ``docs/parallel.md``).
+        processes: worker request when no ``executor`` is given
+            (``None``/``1`` = inline serial, ``0``/``"auto"``-style
+            counts as in :func:`repro.exec.pool.resolve_workers`).
         checkpoint: a path or
             :class:`~repro.exec.checkpoint.CheckpointStore`; completed
             replica batches are saved under kind ``"gossip"`` and a
@@ -251,9 +249,6 @@ class GossipMonteCarlo:
         config: GossipConfig,
         runs: int = 100,
         processes: Optional[int] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         checkpoint_every: int = 32,
         executor: Optional[ParallelExecutor] = None,
@@ -263,9 +258,6 @@ class GossipMonteCarlo:
         if processes is not None and processes != 0:
             processes = int(check_positive(processes, "processes"))
         self.processes = processes
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.checkpoint_every = int(
             check_positive(checkpoint_every, "checkpoint_every")
@@ -295,17 +287,8 @@ class GossipMonteCarlo:
             raise ValueError("gossip replicas are stochastic and need an RngStream")
         rumors = tuple(int(node) for node in rumors)
         protectors = tuple(int(node) for node in protectors)
-        registry = metrics()
         if self._executor is None:
-            workers: Union[int, str] = (
-                self.processes if self.processes is not None else 1
-            )
-            self._executor = ParallelExecutor(
-                workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
+            self._executor = ParallelExecutor(self.processes)
         executor = self._executor
         payload = {
             "config": self.config.to_dict(),
@@ -313,45 +296,27 @@ class GossipMonteCarlo:
             "protectors": protectors,
             "seed": rng.seed,
         }
-        from repro.exec.checkpoint import as_store
 
-        ckpt = as_store(self.checkpoint)
-        records: List[GossipReplicaRecord] = []
-        key = ""
-        if ckpt is not None:
-            key = self._checkpoint_key(graph, rumors, protectors, rng)
-            entry = ckpt.load("gossip", key)
-            if entry is not None:
-                # ``runs`` is outside the key on purpose: replica i is a
-                # pure function of rng.replica(i), so a shorter run's
-                # prefix seeds a longer one (and a longer one truncates).
-                records = _records_from_state(entry["state"])[: self.runs]
-                if records:
-                    registry.inc("exec.resumed_rounds", len(records))
-        with registry.timer("time.gossip.replicas"):
-            start = len(records)
-            while start < self.runs:
-                stop = (
-                    self.runs
-                    if ckpt is None
-                    else min(self.runs, start + self.checkpoint_every)
-                )
-                indices = list(range(start, stop))
-                records.extend(executor.map_items(
-                    _gossip_worker_setup,
-                    _gossip_worker_chunk,
-                    payload,
-                    indices,
-                    graph=graph,
-                ))
-                start = stop
-                if ckpt is not None:
-                    ckpt.save(
-                        "gossip",
-                        key,
-                        _records_to_state(records),
-                        rounds=len(records),
-                    )
+        def run(start: int, stop: int) -> List[GossipReplicaRecord]:
+            return executor.map_items(
+                _gossip_worker_setup,
+                _gossip_worker_chunk,
+                payload,
+                range(start, stop),
+                graph=graph,
+            )
+
+        with metrics().timer("time.gossip.replicas"):
+            records = run_checkpointed(
+                self.checkpoint,
+                "gossip",
+                lambda: self._checkpoint_key(graph, rumors, protectors, rng),
+                self.runs,
+                self.checkpoint_every,
+                run,
+                _records_to_state,
+                _records_from_state,
+            )
         aggregate = GossipAggregate(self.config.max_rounds)
         for record in records:  # replica order -> bit-identical to serial
             aggregate.add_record(record)
@@ -359,8 +324,6 @@ class GossipMonteCarlo:
 
     def _checkpoint_key(self, graph, rumors, protectors, rng) -> str:
         """Run-key fingerprint for gossip checkpoints (sans runs)."""
-        from repro.exec.checkpoint import run_key
-
         return run_key(
             kind="gossip",
             config=self.config.to_dict(),

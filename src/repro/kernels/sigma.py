@@ -148,19 +148,11 @@ class BatchedSigmaEvaluator:
         workers: worker request for :meth:`sigma_many` (``None``/``1``
             serial, ``0`` one per CPU); parallel evaluation is
             bit-identical to serial, see ``docs/parallel.md``.
-        share: graph publication mode for the pool (``"auto"``/``"shm"``/
-            ``"pickle"``).
-        chunk_timeout: per-chunk deadline in seconds for the pool
-            (``None`` waits forever); see the failure-semantics section
-            of ``docs/parallel.md``.
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            to submit rounds to (its ``workers``/``share``/timeout
-            knobs then govern and the per-evaluator knobs above are
-            ignored). ``None`` lazily builds an evaluator-owned
-            executor from those knobs on the first parallel round and
-            reuses it for the evaluator's lifetime — either way the
+            to submit rounds to (its knobs then govern and ``workers``
+            is ignored). ``None`` lazily builds an evaluator-owned
+            ``ParallelExecutor(workers)`` on the first parallel round
+            and reuses it for the evaluator's lifetime — either way the
             pool is warm across greedy/CELF candidate rounds.
     """
 
@@ -174,9 +166,6 @@ class BatchedSigmaEvaluator:
         backend: Union[str, KernelBackend, None] = BACKEND_AUTO,
         world_source: str = "native",
         workers: Union[int, str, None] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self.context = context
@@ -197,9 +186,6 @@ class BatchedSigmaEvaluator:
             )
         self.world_source = world_source
         self.workers = workers
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self._executor = executor
         self.rng = rng or RngStream(name="sigma")
         self._rumor_ids = context.rumor_seed_ids()
@@ -293,12 +279,7 @@ class BatchedSigmaEvaluator:
         if self._executor is None:
             from repro.exec.pool import ParallelExecutor
 
-            self._executor = ParallelExecutor(
-                self.workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
+            self._executor = ParallelExecutor(self.workers)
         return self._executor
 
     def sigma(self, protectors: Iterable[Node]) -> float:

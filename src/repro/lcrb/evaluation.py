@@ -11,19 +11,14 @@ runs the Monte-Carlo simulator and collects:
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, List, Optional
 
 from repro.algorithms.base import SelectionContext
-from repro.diffusion.base import (
-    DEFAULT_MAX_HOPS,
-    INFECTED,
-    PROTECTED,
-    DiffusionModel,
-    DiffusionOutcome,
-    SeedSets,
-)
+from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
 from repro.errors import SeedError
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import Node
 from repro.rng import RngStream
 from repro.utils.stats import RunningStats
@@ -125,9 +120,7 @@ def evaluate_protectors(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     checkpoint=None,
-    chunk_timeout: Optional[float] = None,
-    chunk_retries: Optional[int] = None,
-    executor=None,
+    executor: Optional[ParallelExecutor] = None,
 ) -> EvaluationResult:
     """Simulate an instance with a given protector set and aggregate.
 
@@ -142,95 +135,35 @@ def evaluate_protectors(
         rng: base stream (required for stochastic models).
         backend: optional kernel backend name for batched simulation
             (see :class:`~repro.diffusion.simulation.MonteCarloSimulator`).
-        workers: worker request for process-parallel replicas (``None``/
-            ``1`` serial, ``0`` one per CPU); results are bit-identical
-            to the serial per-replica path. Ignored with ``backend``
-            (the batched kernel already races all replicas at once).
+        workers: worker request for the replicas when no ``executor`` is
+            given (``None``/``1`` inline, ``0`` one per CPU); results
+            are bit-identical whatever the count. Ignored with
+            ``backend`` (the batched kernel races all replicas at once).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
-            CheckpointStore` for the parallel path's replica batches
-            (see :class:`~repro.diffusion.parallel.\
-ParallelMonteCarloSimulator`); ignored on the serial/backend paths.
-        chunk_timeout: per-chunk pool deadline in seconds for the
-            parallel path (see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
+            CheckpointStore` for the per-replica path's replica batches.
         executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            for the parallel path — e.g. the one the CLI already warmed
-            during selection — so evaluation reuses its pool and graph
-            publication instead of spinning up new ones.
+            (e.g. the one the CLI already warmed during selection), so
+            evaluation reuses its pool and graph publication; it takes
+            precedence over ``workers``.
     """
     indexed = context.indexed
     protector_ids = resolve_seed_labels(indexed, protectors, "protector")
     seeds = SeedSets(rumors=context.rumor_seed_ids(), protectors=protector_ids)
     end_ids = context.bridge_end_ids()
-
-    if executor is not None and workers is None:
-        workers = executor.workers
-    if workers is not None and backend is None and model.stochastic:
-        from repro.exec.pool import resolve_workers
-
-        if resolve_workers(workers, runs) > 1:
-            return _evaluate_parallel(
-                indexed, seeds, end_ids, model, runs, max_hops, rng, workers,
-                checkpoint=checkpoint,
-                chunk_timeout=chunk_timeout,
-                chunk_retries=chunk_retries,
-                executor=executor,
-            )
-
-    simulator = MonteCarloSimulator(
-        model, runs=runs, max_hops=max_hops, backend=backend
+    pool = (
+        ParallelExecutor(workers) if executor is None
+        else contextlib.nullcontext(executor)
     )
-    result = EvaluationResult(
-        SimulationAggregate(max_hops), bridge_total=len(end_ids)
-    )
-
-    def collect(outcome: DiffusionOutcome) -> None:
-        result.final_infected_samples.append(outcome.infected_count)
-        infected = protected = untouched = 0
-        for end in end_ids:
-            state = outcome.states[end]
-            if state == INFECTED:
-                infected += 1
-            elif state >= PROTECTED:  # any positive campaign
-                protected += 1
-            else:
-                untouched += 1
-        result.bridge_infected.add(infected)
-        result.bridge_protected.add(protected)
-        result.bridge_untouched.add(untouched)
-
-    result.aggregate = simulator.simulate(indexed, seeds, rng=rng, on_outcome=collect)
-    return result
-
-
-def _evaluate_parallel(
-    indexed, seeds, end_ids, model, runs, max_hops, rng, workers,
-    checkpoint=None, chunk_timeout=None, chunk_retries=None, executor=None,
-) -> EvaluationResult:
-    """Process-parallel evaluation, bit-identical to the serial path.
-
-    Workers ship per-replica :class:`~repro.diffusion.parallel.\
-ReplicaRecord` data; folding it here in replica order feeds the exact
-    per-replica values the serial ``collect`` callback would have seen.
-    """
-    from repro.diffusion.parallel import ParallelMonteCarloSimulator
-
-    simulator = ParallelMonteCarloSimulator(
-        model,
-        runs=runs,
-        max_hops=max_hops,
-        processes=None if workers == 0 else workers,
-        chunk_timeout=chunk_timeout,
-        chunk_retries=chunk_retries,
-        checkpoint=checkpoint,
-        executor=executor,
-    )
-    aggregate, records = simulator.simulate_detailed(
-        indexed, seeds, rng=rng, end_ids=end_ids
-    )
+    with pool as runner:
+        simulator = MonteCarloSimulator(
+            model, runs=runs, max_hops=max_hops, backend=backend,
+            executor=runner, checkpoint=checkpoint,
+        )
+        aggregate, records = simulator.simulate_detailed(
+            indexed, seeds, rng=rng, end_ids=end_ids
+        )
     result = EvaluationResult(aggregate, bridge_total=len(end_ids))
-    for record in records:
+    for record in records:  # replica order
         result.final_infected_samples.append(record.final_infected)
         infected, protected, untouched = record.end_counts
         result.bridge_infected.add(infected)

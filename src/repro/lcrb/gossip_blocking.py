@@ -138,7 +138,7 @@ class GossipBlockingScenario:
             included).
         runs: gossip replicas per strategy.
         budget: protector-set size each selector is asked for.
-        processes / share / chunk_timeout / chunk_retries / checkpoint:
+        processes / checkpoint:
             forwarded to :class:`~repro.gossip.runner.GossipMonteCarlo`
             (checkpoints are per-strategy: the strategy's protector set
             is part of the run-key).
@@ -154,9 +154,6 @@ class GossipBlockingScenario:
         runs: int = 50,
         budget: int = 2,
         processes: Optional[int] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
     ) -> None:
@@ -164,9 +161,6 @@ class GossipBlockingScenario:
         self.runs = int(check_positive(runs, "runs"))
         self.budget = int(check_positive(budget, "budget"))
         self.processes = processes
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self._executor = executor
         self._runner: Optional[GossipMonteCarlo] = None
@@ -202,9 +196,6 @@ class GossipBlockingScenario:
                     self.config,
                     runs=self.runs,
                     processes=self.processes,
-                    share=self.share,
-                    chunk_timeout=self.chunk_timeout,
-                    chunk_retries=self.chunk_retries,
                     checkpoint=self.checkpoint,
                     executor=self._executor,
                 )

@@ -44,7 +44,9 @@ from repro.diffusion.base import (
     DiffusionModel,
     SeedSets,
 )
+from repro.diffusion.simulation import MonteCarloSimulator
 from repro.errors import SeedError, ValidationError
+from repro.exec.checkpoint import run_checkpointed, run_key
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.digraph import Node
 from repro.lcrb.evaluation import resolve_seed_labels
@@ -309,20 +311,10 @@ class DistributedBlockingScenario:
         rng: RngStream,
     ) -> Tuple[float, List[float]]:
         """Mean final rumor count + mean infected-per-hop series."""
-        final = RunningStats()
-        per_hop = [RunningStats() for _ in range(self.max_hops + 1)]
-        replicas = self.runs if self.model.stochastic else 1
-        for replica in range(replicas):
-            outcome = self.model.run(
-                indexed,
-                seeds,
-                rng=rng.replica(replica) if self.model.stochastic else None,
-                max_hops=self.max_hops,
-            )
-            final.add(outcome.trace.cascade_at(0, self.max_hops))
-            for hop in range(self.max_hops + 1):
-                per_hop[hop].add(outcome.trace.cascade_at(0, hop))
-        return final.mean, [stats.mean for stats in per_hop]
+        aggregate = MonteCarloSimulator(
+            self.model, runs=self.runs, max_hops=self.max_hops
+        ).simulate(indexed, seeds, rng=rng)
+        return aggregate.final_infected.mean, aggregate.infected_per_hop
 
     def run(
         self, context: SelectionContext, rng: RngStream
@@ -565,8 +557,6 @@ class ImpressionScenario:
         return CascadeSet([rumor_ids] + campaign_ids, priority=self.priority)
 
     def _run_key(self, indexed: IndexedDiGraph, seeds: CascadeSet, rng) -> str:
-        from repro.exec.checkpoint import run_key
-
         return run_key(
             kind="impressions",
             model=self.model.name,
@@ -589,33 +579,15 @@ class ImpressionScenario:
         """Race the cascades ``runs`` times and aggregate domination."""
         indexed = context.indexed
         seeds = self.build_seeds(context, campaigns)
-        replicas = self.runs if self.model.stochastic else 1
+        stochastic = self.model.stochastic
 
-        from repro.exec.checkpoint import as_store
-
-        ckpt = as_store(self.checkpoint)
-        rows: List[List[int]] = []  # [dominated, *cascade_counts] per run
-        key = ""
-        if ckpt is not None:
-            key = self._run_key(indexed, seeds, rng)
-            entry = ckpt.load("impressions", key)
-            if entry is not None:
-                rows = [
-                    [int(value) for value in row]
-                    for row in entry["state"]["rows"][:replicas]
-                ]
-
-        while len(rows) < replicas:
-            stop = (
-                replicas
-                if ckpt is None
-                else min(replicas, len(rows) + self.checkpoint_every)
-            )
-            for replica in range(len(rows), stop):
+        def run(start: int, stop: int) -> List[List[int]]:
+            rows = []  # [dominated, *cascade_counts] per run
+            for replica in range(start, stop):
                 outcome = self.model.run(
                     indexed,
                     seeds,
-                    rng=rng.replica(replica) if self.model.stochastic else None,
+                    rng=rng.replica(replica) if stochastic else None,
                     max_hops=self.max_hops,
                 )
                 rows.append(
@@ -626,10 +598,18 @@ class ImpressionScenario:
                     ]
                     + outcome.cascade_counts()
                 )
-            if ckpt is not None:
-                ckpt.save(
-                    "impressions", key, {"rows": rows}, rounds=len(rows)
-                )
+            return rows
+
+        rows = run_checkpointed(
+            self.checkpoint,
+            "impressions",
+            lambda: self._run_key(indexed, seeds, rng),
+            self.runs if stochastic else 1,
+            self.checkpoint_every,
+            run,
+            lambda rows: {"rows": rows},
+            lambda state: [[int(value) for value in row] for row in state["rows"]],
+        )
 
         dominated = RunningStats()
         cascade_totals = [0.0] * seeds.cascade_count

@@ -191,16 +191,25 @@ async def serve_unix_socket(
     """Serve on a unix socket; a shutdown op from any client stops it.
 
     Connections are handled concurrently; the service lock serialises
-    their state-touching requests in arrival order.
+    their state-touching requests in arrival order. On shutdown every
+    other open connection is closed (its client reads EOF) and its
+    handler returns on its own before this coroutine does, so no handler
+    is left to be cancelled at loop teardown.
     """
     done = asyncio.Event()
+    handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def _handler(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()  # a handler always runs in its own task
+        handlers[task] = writer
+        task.add_done_callback(lambda _task: handlers.pop(_task, None))
         try:
             if await handle_connection(service, reader, writer):
                 done.set()
+        except ConnectionError:
+            pass  # the stream closed mid-request (the peer, or a shutdown)
         finally:
             writer.close()
             try:
@@ -213,3 +222,7 @@ async def serve_unix_socket(
     )
     async with server:
         await done.wait()
+        server.close()  # accept no new connection while the others drain
+        for writer in handlers.values():
+            writer.close()
+        await asyncio.gather(*handlers)

@@ -113,16 +113,11 @@ class SketchStore:
         workers: worker request for parallel world sampling (``None``/
             ``1`` serial, ``0`` one per CPU). Needs a sampler exposing
             ``worker_payload()``; contents are bit-identical either way.
-        share: graph publication mode for the pool (see
-            :func:`repro.exec.shm.publish_graph`).
-        chunk_timeout: per-chunk pool deadline in seconds (``None``
-            waits forever); see ``docs/parallel.md``.
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
             to fan doubling rounds out over (its knobs then govern);
-            ``None`` lazily builds a store-owned one from the knobs
-            above — either way the same warm pool serves every round.
+            ``None`` lazily builds a store-owned
+            ``ParallelExecutor(workers)`` — either way the same warm
+            pool serves every round.
         backend: sketch-kernel backend for world sampling (``"numpy"``,
             ``"python"``, or ``None``/``"auto"`` for the fastest
             available); applied serially and inside pool workers. All
@@ -132,9 +127,6 @@ class SketchStore:
     __slots__ = (
         "sampler",
         "workers",
-        "share",
-        "chunk_timeout",
-        "chunk_retries",
         "backend",
         "_executor",
         "worlds",
@@ -157,17 +149,11 @@ class SketchStore:
         self,
         sampler,
         workers=None,
-        share: str = "auto",
-        chunk_timeout=None,
-        chunk_retries=None,
         executor=None,
         backend=None,
     ) -> None:
         self.sampler = sampler
         self.workers = workers
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.backend = backend
         self._executor = executor
         #: number of worlds sampled so far.
@@ -246,12 +232,7 @@ class SketchStore:
         from repro.exec.pool import ParallelExecutor
 
         if self._executor is None:
-            self._executor = ParallelExecutor(
-                self.workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
+            self._executor = ParallelExecutor(self.workers)
         return self._executor.map_items(
             _sampler_worker_setup,
             task,

@@ -1,16 +1,18 @@
-"""Unit tests for the parallel Monte-Carlo simulator."""
+"""The Monte-Carlo simulator on a worker pool: bit-identical to inline."""
 
 import pytest
 
 from repro.diffusion.base import INFECTED, PROTECTED, SeedSets
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import (
-    ParallelMonteCarloSimulator,
+from repro.diffusion.simulation import (
+    MonteCarloSimulator,
     ReplicaRecord,
+    SimulationAggregate,
     record_outcome,
 )
-from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
+from repro.exec import shm as shm_module
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -21,6 +23,11 @@ def star():
     return DiGraph.from_edges([(0, i) for i in range(1, 10)])
 
 
+def pooled(model, workers, **options):
+    """A simulator on its own ``workers``-process executor."""
+    return MonteCarloSimulator(model, executor=ParallelExecutor(workers), **options)
+
+
 class TestEquivalenceWithSerial:
     def test_identical_aggregates(self, star):
         indexed = star.to_indexed()
@@ -28,9 +35,9 @@ class TestEquivalenceWithSerial:
         serial = MonteCarloSimulator(OPOAOModel(), runs=12, max_hops=6).simulate(
             indexed, seeds, rng=RngStream(5)
         )
-        parallel = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=12, max_hops=6, processes=3
-        ).simulate(indexed, seeds, rng=RngStream(5))
+        parallel = pooled(OPOAOModel(), 3, runs=12, max_hops=6).simulate(
+            indexed, seeds, rng=RngStream(5)
+        )
         assert parallel.runs == serial.runs == 12
         # Workers ship per-replica records and the parent folds them in
         # replica order, so the aggregate is bit-identical to serial —
@@ -45,9 +52,9 @@ class TestEquivalenceWithSerial:
     def test_single_process_path(self, star):
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
-        parallel = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=5, max_hops=4, processes=1
-        ).simulate(indexed, seeds, rng=RngStream(6))
+        parallel = pooled(OPOAOModel(), 1, runs=5, max_hops=4).simulate(
+            indexed, seeds, rng=RngStream(6)
+        )
         serial = MonteCarloSimulator(OPOAOModel(), runs=5, max_hops=4).simulate(
             indexed, seeds, rng=RngStream(6)
         )
@@ -55,14 +62,14 @@ class TestEquivalenceWithSerial:
 
     def test_deterministic_model_single_run(self, chain):
         indexed = chain.to_indexed()
-        aggregate = ParallelMonteCarloSimulator(
-            DOAMModel(), runs=99, processes=4
-        ).simulate(indexed, SeedSets(rumors=[0]))
+        aggregate = pooled(DOAMModel(), 4, runs=99).simulate(
+            indexed, SeedSets(rumors=[0])
+        )
         assert aggregate.runs == 1
         assert aggregate.final_infected.mean == 6
 
     def test_rng_required(self, star):
-        simulator = ParallelMonteCarloSimulator(OPOAOModel(), runs=3, processes=2)
+        simulator = pooled(OPOAOModel(), 2, runs=3)
         with pytest.raises(ValueError):
             simulator.simulate(star.to_indexed(), SeedSets(rumors=[0]))
 
@@ -77,16 +84,16 @@ class TestSimulateDetailed:
         for replica in range(9):
             outcome = model.run(indexed, seeds, rng=RngStream(8).replica(replica), max_hops=6)
             expected.append(record_outcome(outcome, 6, end_ids))
-        _, records = ParallelMonteCarloSimulator(
-            model, runs=9, max_hops=6, processes=3
-        ).simulate_detailed(indexed, seeds, rng=RngStream(8), end_ids=end_ids)
+        _, records = pooled(model, 3, runs=9, max_hops=6).simulate_detailed(
+            indexed, seeds, rng=RngStream(8), end_ids=end_ids
+        )
         assert records == expected
 
     def test_deterministic_model_records(self, chain):
         indexed = chain.to_indexed()
-        aggregate, records = ParallelMonteCarloSimulator(
-            DOAMModel(), runs=50, processes=4
-        ).simulate_detailed(indexed, SeedSets(rumors=[0]), end_ids=(5,))
+        aggregate, records = pooled(DOAMModel(), 4, runs=50).simulate_detailed(
+            indexed, SeedSets(rumors=[0]), end_ids=(5,)
+        )
         assert aggregate.runs == 1
         assert len(records) == 1
         assert records[0].end_counts == (1, 0, 0)  # the chain end is infected
@@ -104,6 +111,42 @@ class TestSimulateDetailed:
         assert len(record.infected_series) == 32
         assert record.final_infected == outcome.infected_count
 
+    def test_every_executor_and_resume_fold_identically(self, star, tmp_path):
+        # One replica loop: records and Welford state are the same with
+        # no executor, an inline executor, two workers on either graph
+        # publication, and a run resumed from a half-way checkpoint.
+        indexed = star.to_indexed()
+        seeds = SeedSets(rumors=[0], protectors=[1])
+        shares = ["pickle"] + ([] if shm_module.np is None else ["shm"])
+
+        def run(**options):
+            simulator = MonteCarloSimulator(
+                OPOAOModel(), runs=options.pop("runs", 10), max_hops=5, **options
+            )
+            return simulator.simulate_detailed(
+                indexed, seeds, rng=RngStream(21), end_ids=(2, 3)
+            )
+
+        def welford(aggregate):
+            return [
+                (stats.count, stats._mean, stats._m2, stats.minimum, stats.maximum)
+                for stats in (
+                    *(aggregate.infected_stats_at(hop) for hop in range(6)),
+                    aggregate.final_infected,
+                    aggregate.final_protected,
+                )
+            ]
+
+        reference, reference_records = run()
+        checkpoint = tmp_path / "mc.ckpt"
+        run(runs=5, checkpoint=checkpoint, checkpoint_every=2)
+        results = [run(executor=ParallelExecutor(1))]
+        results += [run(executor=ParallelExecutor(2, share=share)) for share in shares]
+        results.append(run(checkpoint=checkpoint, checkpoint_every=2))
+        for aggregate, records in results:
+            assert records == reference_records
+            assert welford(aggregate) == welford(reference)
+
     def test_sim_worlds_counter_matches_serial(self, star):
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
@@ -114,9 +157,9 @@ class TestSimulateDetailed:
             )
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=10, max_hops=5, processes=2
-            ).simulate(indexed, seeds, rng=RngStream(4))
+            pooled(OPOAOModel(), 2, runs=10, max_hops=5).simulate(
+                indexed, seeds, rng=RngStream(4)
+            )
         # Drop timers (never deterministic) and exec.* fault-bookkeeping
         # counters (present only under the CI fault-injection leg).
         serial_counters = {

@@ -45,8 +45,12 @@ class TestSimulator:
         assert a.infected_per_hop == b.infected_per_hop
 
     def test_on_outcome_callback_invoked(self, star):
+        # Per-world callbacks are a kernel-path feature: one view per
+        # world, in world order, matching that world's record.
         seen = []
-        simulator = MonteCarloSimulator(OPOAOModel(), runs=4, max_hops=3)
+        simulator = MonteCarloSimulator(
+            OPOAOModel(), runs=4, max_hops=3, backend="python"
+        )
         simulator.simulate(
             star.to_indexed(),
             SeedSets(rumors=[0]),
@@ -54,6 +58,22 @@ class TestSimulator:
             on_outcome=seen.append,
         )
         assert len(seen) == 4
+        _, records = simulator.simulate_detailed(
+            star.to_indexed(), SeedSets(rumors=[0]), rng=RngStream(2)
+        )
+        assert [view.infected_count for view in seen] == [
+            record.final_infected for record in records
+        ]
+
+    def test_on_outcome_needs_a_kernel_backend(self, star):
+        simulator = MonteCarloSimulator(OPOAOModel(), runs=4, max_hops=3)
+        with pytest.raises(ValueError, match="kernel backend"):
+            simulator.simulate(
+                star.to_indexed(),
+                SeedSets(rumors=[0]),
+                rng=RngStream(2),
+                on_outcome=lambda outcome: None,
+            )
 
     def test_mean_between_min_max(self, star):
         simulator = MonteCarloSimulator(OPOAOModel(), runs=30, max_hops=4)

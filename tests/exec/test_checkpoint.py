@@ -16,7 +16,7 @@ from repro.algorithms.greedy import GreedySelector
 from repro.algorithms.ris_greedy import RISGreedySelector
 from repro.diffusion.base import CascadeSet, SeedSets
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
+from repro.diffusion.simulation import MonteCarloSimulator
 from repro.errors import CheckpointError
 from repro.exec.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -24,6 +24,7 @@ from repro.exec.checkpoint import (
     as_store,
     run_key,
 )
+from repro.exec.pool import ParallelExecutor
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
@@ -222,11 +223,11 @@ class TestRISResume:
 
 class TestMonteCarloResume:
     def simulator(self, runs, tmp_path=None, processes=2):
-        return ParallelMonteCarloSimulator(
+        return MonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            processes=processes,
+            executor=ParallelExecutor(processes),
             checkpoint=None if tmp_path is None else tmp_path / "run.ckpt",
             checkpoint_every=4,
         )
@@ -287,11 +288,11 @@ class TestMonteCarloCascadeKeys:
     """
 
     def simulator(self, runs, tmp_path):
-        return ParallelMonteCarloSimulator(
+        return MonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            processes=2,
+            executor=ParallelExecutor(2),
             checkpoint=tmp_path / "run.ckpt",
             checkpoint_every=4,
         )
@@ -350,8 +351,8 @@ class TestMonteCarloCascadeKeys:
             )
 
         full_aggregate, full_records = run(
-            ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=12, max_hops=5, processes=2
+            MonteCarloSimulator(
+                OPOAOModel(), runs=12, max_hops=5, executor=ParallelExecutor(2)
             )
         )
         run(self.simulator(6, tmp_path))
@@ -387,3 +388,29 @@ class TestCLICheckpointFlags:
         assert main(argv + ["--resume"]) == 0
         resumed = capsys.readouterr().out
         assert resumed == first
+
+    def test_serial_simulate_checkpoints_and_resumes_pooled(
+        self, tmp_path, capsys
+    ):
+        # A serial evaluation runs the same checkpointed replica loop as
+        # a pooled one: it writes the mc entry, and a --workers resume
+        # from it prints the same numbers.
+        from repro.cli import main
+
+        path = tmp_path / "simulate.ckpt"
+        argv = [
+            "simulate",
+            "--dataset", "hep",
+            "--scale", "0.05",
+            "--algorithm", "maxdegree",
+            "--model", "opoao",
+            "--runs", "20",
+            "--seed", "13",
+            "--checkpoint", str(path),
+        ]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        document = json.loads(path.read_text())
+        assert document["entries"]["mc"]["rounds"] == 20
+        assert main(argv + ["--resume", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial

@@ -11,6 +11,7 @@ from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.greedy import GreedySelector, candidate_pool
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
+from repro.exec.pool import ParallelExecutor
 from repro.kernels.sigma import BatchedSigmaEvaluator
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -89,8 +90,7 @@ class TestSigmaManyBitIdentity:
             max_hops=8,
             rng=RngStream(77, name="parallel-sigma"),
             backend="python",
-            workers=2,
-            share="pickle",
+            executor=ParallelExecutor(2, share="pickle"),
         ).sigma_many(sets)
         assert pickled == auto
 

@@ -5,6 +5,7 @@ import pytest
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.errors import SeedError
+from repro.exec.pool import ParallelExecutor
 from repro.lcrb.evaluation import evaluate_protectors, resolve_seed_labels
 from repro.rng import RngStream
 
@@ -68,6 +69,30 @@ class TestEvaluateProtectors:
         assert sum(result.final_infected_samples) / 15 == pytest.approx(
             result.final_infected_mean
         )
+
+    def test_two_workers_equal_inline(self, fig2_context):
+        # The pooled run folds the same replica records in the same
+        # order as the inline one: every statistic is bit-identical.
+        def evaluate(**options):
+            return evaluate_protectors(
+                fig2_context, ["v1"], OPOAOModel(), runs=12, max_hops=8,
+                rng=RngStream(4), **options,
+            )
+
+        inline = evaluate()
+        with ParallelExecutor(2, share="pickle") as executor:
+            shared = evaluate(workers=2, executor=executor)
+        for pooled in (evaluate(workers=2), shared):
+            assert pooled.final_infected_samples == inline.final_infected_samples
+            assert pooled.infected_per_hop == inline.infected_per_hop
+            assert pooled.aggregate.final_infected.variance == (
+                inline.aggregate.final_infected.variance
+            )
+            for name in ("bridge_infected", "bridge_protected", "bridge_untouched"):
+                mine, theirs = getattr(pooled, name), getattr(inline, name)
+                assert (mine.count, mine.mean, mine.variance) == (
+                    theirs.count, theirs.mean, theirs.variance
+                )
 
     def test_compare_evaluations_resolves_clear_gap(self, fig2_context):
         from repro.lcrb.evaluation import compare_evaluations

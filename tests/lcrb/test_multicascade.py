@@ -8,10 +8,11 @@ validation, dedup/waste accounting, the price ratio's edge cases, and
 checkpoint resumption — is exercised directly.
 """
 
+import json
+
 import pytest
 
 from repro.algorithms.base import ProtectorSelector, SelectionContext
-from repro.diffusion.base import CascadeSet
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.ic import CompetitiveICModel
 from repro.errors import CheckpointError, SeedError, ValidationError
@@ -28,6 +29,7 @@ from repro.lcrb.multicascade import (
     resolve_campaign_seeds,
     _enumerate_worlds,
 )
+from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
 
@@ -198,9 +200,16 @@ class TestImpressionScenario:
         )
         # "Interrupt" after 8 replicas, then resume out to 16.
         self.checkpointed(8, path).run(tiny_context, campaigns, RngStream(7))
-        resumed = self.checkpointed(16, path).run(
-            tiny_context, campaigns, RngStream(7)
-        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = self.checkpointed(16, path).run(
+                tiny_context, campaigns, RngStream(7)
+            )
+        # The shared checkpoint loop resumed the saved prefix and saved
+        # the rest batch by batch.
+        assert registry.counter_value("exec.resumed_rounds") == 8
+        entries = json.loads(path.read_text())["entries"]
+        assert entries["impressions"]["rounds"] == 16
         assert resumed.mean_dominated == full.mean_dominated
         assert resumed.cascade_means == full.cascade_means
         assert resumed.dominated.maximum == full.dominated.maximum

@@ -5,8 +5,8 @@ import pytest
 from repro.diffusion.base import SeedSets
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
 from repro.diffusion.simulation import MonteCarloSimulator
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import NULL_REGISTRY, MetricsRegistry, metrics, use_registry
 from repro.rng import RngStream
@@ -29,8 +29,8 @@ class TestSerialParallelEquality:
             )
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=12, max_hops=6, processes=3
+            MonteCarloSimulator(
+                OPOAOModel(), runs=12, max_hops=6, executor=ParallelExecutor(3)
             ).simulate(indexed, seeds, rng=RngStream(5))
         # exec.* is pool bookkeeping (pool created, graph published) that a
         # serial run by definition never emits; the work counters must match.
@@ -47,8 +47,8 @@ class TestSerialParallelEquality:
         indexed = star.to_indexed()
         registry = MetricsRegistry()
         with use_registry(registry):
-            ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=5, max_hops=4, processes=1
+            MonteCarloSimulator(
+                OPOAOModel(), runs=5, max_hops=4, executor=ParallelExecutor(1)
             ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(6))
         assert registry.counter_value("sim.worlds") == 5
         assert registry.counter_value("sim.node_visits") > 0
@@ -56,8 +56,8 @@ class TestSerialParallelEquality:
     def test_disabled_parent_ships_no_snapshots(self, star):
         indexed = star.to_indexed()
         assert metrics() is NULL_REGISTRY
-        aggregate = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=6, max_hops=4, processes=2
+        aggregate = MonteCarloSimulator(
+            OPOAOModel(), runs=6, max_hops=4, executor=ParallelExecutor(2)
         ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(9))
         assert aggregate.runs == 6
         assert NULL_REGISTRY.to_dict()["counters"] == {}

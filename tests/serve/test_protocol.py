@@ -5,8 +5,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-import pytest
-
 from repro.graph.generators import planted_partition
 from repro.rng import RngStream
 from repro.serve import (
@@ -184,6 +182,47 @@ class TestUnixSocketTransport:
         assert "invalid JSON" in garbled["error"]
         assert alive["ok"] is True
 
+
+    def test_shutdown_closes_idle_connections_cleanly(
+        self, tmp_path, capfd, caplog
+    ):
+        """A shutdown from one client ends every other connection with EOF.
+
+        The idle connection's handler must return on its own, not be
+        cancelled at loop teardown (which logged a CancelledError
+        traceback from the stream protocol's done callback).
+        """
+        socket_path = str(tmp_path / "serve.sock")
+
+        async def scenario():
+            service, _ = build_service()
+            server = asyncio.ensure_future(
+                serve_unix_socket(service, socket_path)
+            )
+            await asyncio.sleep(0.05)
+            idle_reader, idle_writer = await asyncio.open_unix_connection(
+                socket_path
+            )
+            idle_writer.write(b'{"op": "stats", "id": 1}\n')
+            await idle_writer.drain()
+            stats = json.loads(await idle_reader.readline())
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+            writer.write(b'{"op": "shutdown", "id": 2}\n')
+            await writer.drain()
+            done = json.loads(await reader.readline())
+            await asyncio.wait_for(server, timeout=5)
+            eof = await asyncio.wait_for(idle_reader.read(), timeout=5)
+            for stream in (writer, idle_writer):
+                stream.close()
+                await stream.wait_closed()
+            return stats, done, eof
+
+        stats, done, eof = run(scenario())
+        assert stats["ok"] is True
+        assert done["shutdown"] is True
+        assert eof == b""
+        assert capfd.readouterr().err == ""
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
     def test_oversize_line_is_answered_and_skipped(self, tmp_path):
         """A line past MAX_REQUEST_BYTES gets an error; the connection lives on."""
